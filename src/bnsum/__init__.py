@@ -11,7 +11,6 @@ from .asymptotics import (
     leading_integer,
     leading_noninteger,
     leading_nonneg,
-    load_phase_constants,
 )
 from .direct import (
     DERIVATIVE_KINDS,
@@ -77,7 +76,6 @@ __all__ = [
     "leading_noninteger",
     "leading_nonneg",
     "lerch_unit",
-    "load_phase_constants",
     "phi_minus_one",
     "reciprocal_gamma",
     "run_suite",

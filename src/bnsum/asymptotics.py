@@ -9,16 +9,16 @@ non-negative regime (growth ``r^a``) and the derivative-series tables.
 Two source displays disagree on the phase of the oscillatory 1/r term (one
 writes ``-pi*mu/2``, the other ``-pi*nu/2``, with ``mu = m+m'``,
 ``nu = m-m'``); since ``sin(2r - pi*mu/2) = (-1)^{m'} sin(2r - pi*nu/2)``
-only one can be right.  The validation harness fits both candidates against
-the direct-sum oracle and records the winner in a generated constants file;
-constructors read that file when no explicit ``phase_convention`` is given.
+only one can be right.  The same holds for the ``sin(2r)`` term of the
+``alpha = 1`` expansion, which one display carries and the other drops.  The
+oracle decides both: the library fixes the winners as :data:`COR42_PHASE` and
+:data:`COR62_OSC_TERM`, and ``bnsum validate`` fits both candidates again and
+fails if the fit disagrees with them.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import DomainError
 from .specfun import (
@@ -33,39 +33,12 @@ from .specfun import (
 
 _OSC_TAGS = ("const", "logr", "sin2r", "cos2r")
 
-_CONSTANTS_PATH = Path(__file__).with_name("_constants.json")
-_DEFAULT_CONSTANTS = {
-    "cor42_phase": "mu",
-    "cor62_osc_term": "present",
-    "provenance": "library defaults (no validation run recorded yet)",
-}
-_constants_cache: dict | None = None
-
-
-def load_phase_constants() -> dict:
-    """Oracle-resolved conventions; defaults until a validation run stores them."""
-    global _constants_cache
-    if _constants_cache is None:
-        if _CONSTANTS_PATH.exists():
-            _constants_cache = {**_DEFAULT_CONSTANTS, **json.loads(_CONSTANTS_PATH.read_text())}
-        else:
-            _constants_cache = dict(_DEFAULT_CONSTANTS)
-    return _constants_cache
-
-
-def save_phase_constants(cor42_phase: str, cor62_osc_term: str, provenance: str) -> None:
-    global _constants_cache
-    if cor42_phase not in ("mu", "nu"):
-        raise DomainError("cor42_phase must be 'mu' or 'nu'")
-    if cor62_osc_term not in ("present", "absent"):
-        raise DomainError("cor62_osc_term must be 'present' or 'absent'")
-    data = {
-        "cor42_phase": cor42_phase,
-        "cor62_osc_term": cor62_osc_term,
-        "provenance": provenance,
-    }
-    _CONSTANTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    _constants_cache = data
+# Conventions the direct-sum oracle selected by an envelope fit over
+# r in [50, 400] (harness.resolve_cor42_phase / resolve_cor62_osc): the losing
+# candidates leave residual envelopes 37.7x ('nu') and 874.5x ('absent')
+# larger.  The asymptotics suite repeats the fit and fails on disagreement.
+COR42_PHASE = "mu"
+COR62_OSC_TERM = "present"
 
 
 @dataclass(frozen=True)
@@ -125,11 +98,10 @@ def _sin_half_pi(nu: int) -> float:
     return (0.0, 1.0, 0.0, -1.0)[nu % 4]
 
 
-def _osc_phase(mu: int, nu: int, phase_convention: str | None) -> float:
-    conv = phase_convention or load_phase_constants()["cor42_phase"]
-    if conv == "mu":
+def _osc_phase(mu: int, nu: int, phase_convention: str) -> float:
+    if phase_convention == "mu":
         return -0.5 * math.pi * mu
-    if conv == "nu":
+    if phase_convention == "nu":
         return -0.5 * math.pi * nu
     raise DomainError("phase_convention must be 'mu' or 'nu'")
 
@@ -139,7 +111,7 @@ def leading_noninteger(
     beta: float,
     m: int,
     m_prime: int,
-    phase_convention: str | None = None,
+    phase_convention: str = COR42_PHASE,
 ) -> AsymptoticForm:
     """Two-term expansion of sum (l+beta)^{-alpha} J_{l+m'} J_{l+m}, alpha > 0
     non-integer:
@@ -189,8 +161,8 @@ def leading_integer(
     beta: float,
     m: int,
     m_prime: int,
-    phase_convention: str | None = None,
-    osc_term: str | None = None,
+    phase_convention: str = COR42_PHASE,
+    osc_term: str = COR62_OSC_TERM,
 ) -> AsymptoticForm:
     """1/r expansion at integer alpha >= 1.
 
@@ -208,7 +180,7 @@ def leading_integer(
                       sin(2r + phase)] + O(r^{-2+eps}).
 
     ``osc_term='absent'`` drops the oscillatory term (the alternative reading
-    of the conflicting source displays; the harness decides which is right).
+    of the conflicting source displays; see :data:`COR62_OSC_TERM`).
     """
     if not (isinstance(alpha, int) or alpha == math.floor(alpha)) or alpha < 1:
         raise DomainError("leading_integer requires integer alpha >= 1")
@@ -216,8 +188,7 @@ def leading_integer(
     if beta <= -1.0:
         raise DomainError("beta must be > -1")
     mu, nu = _canonical_orders(m, m_prime)
-    osc = osc_term or load_phase_constants()["cor62_osc_term"]
-    if osc not in ("present", "absent"):
+    if osc_term not in ("present", "absent"):
         raise DomainError("osc_term must be 'present' or 'absent'")
     phase = _osc_phase(mu, nu, phase_convention)
     cos_half = _cos_half_pi(nu)
@@ -232,7 +203,7 @@ def leading_integer(
         sin_half = _sin_half_pi(nu)
         if sin_half != 0.0:
             terms.append(AsymptoticTerm(0.5 * sin_half, 1.0))
-        if osc == "present":
+        if osc_term == "present":
             terms.append(
                 AsymptoticTerm(-phi_minus_one(1.0, beta + 1.0) / math.pi, 1.0, "sin2r", phase)
             )
@@ -241,7 +212,7 @@ def leading_integer(
         terms.append(
             AsymptoticTerm(cos_half * hurwitz_zeta(float(alpha), beta + 1.0) / math.pi, 1.0)
         )
-    if osc == "present":
+    if osc_term == "present":
         coeff = (
             2.0 ** (-alpha)
             * (

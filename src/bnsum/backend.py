@@ -26,7 +26,7 @@ if not USE_NUMBA:
 
 
 def thread_cap() -> int:
-    """Concurrency cap for harness/CLI work, from BNSUM_THREADS."""
+    """Thread cap for the rows of ``bnsum sweep``, from BNSUM_THREADS."""
     raw = os.environ.get("BNSUM_THREADS", "")
     try:
         n = int(raw)

@@ -27,7 +27,7 @@ from .asymptotics import (
     leading_nonneg,
 )
 from .backend import thread_cap
-from .direct import EvalResult, SeriesSpec, sum_series
+from .direct import EvalResult, SeriesSpec, check_inputs, sum_series
 from .errors import BnsumError, ConvergenceError, DomainError, ToleranceError
 from .harness import SUITES, run_suite
 from .quadrature import QuadratureConfig, eval_exp2d, eval_hankel, eval_lifted
@@ -56,6 +56,7 @@ def _eval_asym(spec: SeriesSpec, r: float) -> EvalResult:
 
 
 def _evaluate(spec: SeriesSpec, r: float, method: str, tol: float) -> EvalResult:
+    check_inputs(r, tol)  # the asym route has no check of its own
     if method == "auto":
         method = "oracle" if r <= 50.0 else "asym"
     if method == "oracle":
@@ -181,6 +182,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_asym(args) -> int:
     spec = SeriesSpec(args.a, args.beta, args.m, args.mprime)
+    check_inputs(args.r)
     form = _asym_form(spec)
     out = {
         "value": eval_form(form, args.r),

@@ -16,6 +16,9 @@ from .errors import DomainError, ToleranceError
 from .kernels import bessel_rows
 
 _HARD_CAP = 10**6
+# Absolute error of one bessel_rows value, as checked against mpmath.  It
+# enters err_est weighted by the other factor of each product.
+_BESSEL_ABS_ERR = 2e-15
 
 DERIVATIVE_KINDS = ("JJ", "JdJ", "dJdJ", "JddJ", "dJddJ", "ddJddJ")
 
@@ -30,6 +33,8 @@ class SeriesSpec:
     m_prime: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.beta)):
+            raise DomainError("SeriesSpec requires finite a and beta")
         if self.beta <= -1.0:
             raise DomainError("SeriesSpec requires beta > -1")
         if self.m < 0 or self.m_prime < 0:
@@ -56,6 +61,27 @@ class EvalResult:
     err_est: float
     method: str
     work: int
+
+
+def check_inputs(r: float, *tols: float) -> None:
+    """Boundary check shared by every route: r finite and >= 0, each
+    tolerance finite and > 0 (NaN fails both)."""
+    if not 0.0 <= r < math.inf:
+        raise DomainError("r must be finite and >= 0")
+    if not all(0.0 < tol < math.inf for tol in tols):
+        raise DomainError("tol must be finite and > 0")
+
+
+def _sum_products(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
+                  tol: float) -> tuple[float, float]:
+    """sum x*y*weight and its bound: tail tol, rounding, Bessel value error."""
+    terms = x * y * weight
+    err = (
+        tol
+        + 1e-15 * float(np.sum(np.abs(terms)))
+        + _BESSEL_ABS_ERR * float(np.sum((np.abs(x) + np.abs(y)) * weight))
+    )
+    return float(np.sum(terms)), err
 
 
 def _log_term_bound(l: int, n1: int, n2: int, a: float, beta: float, logr2: float) -> float:
@@ -86,21 +112,19 @@ def _certified_length(n1: int, n2: int, a: float, beta: float, r: float, tol: fl
 
 def sum_series(spec: SeriesSpec, r: float, tol: float = 1e-12) -> EvalResult:
     """Direct sum of the series with a certified absolute tail bound <= tol."""
-    if tol <= 0.0:
-        raise DomainError("tol must be > 0")
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
+    check_inputs(r, tol)
     if r == 0.0:
         return EvalResult(0.0, 0.0, "oracle", 0)
     length = _certified_length(spec.m, spec.m_prime, spec.a, spec.beta, r, tol)
     nmax = length + max(spec.m, spec.m_prime)
     row = bessel_rows(nmax, np.array([r]))[:, 0]
     l = np.arange(1, length + 1, dtype=float)
-    terms = row[1 + spec.m_prime : length + 1 + spec.m_prime] * row[
-        1 + spec.m : length + 1 + spec.m
-    ] * (l + spec.beta) ** spec.a
-    value = float(np.sum(terms))
-    err = tol + 1e-15 * float(np.sum(np.abs(terms)))
+    value, err = _sum_products(
+        row[1 + spec.m_prime : length + 1 + spec.m_prime],
+        row[1 + spec.m : length + 1 + spec.m],
+        (l + spec.beta) ** spec.a,
+        tol,
+    )
     return EvalResult(value, err, "oracle", length)
 
 
@@ -140,12 +164,11 @@ def sum_derivative_series(
     """Direct sum of sum_{l>=1} (l+beta)^a X_l(r) Y_l(r), X,Y in {J, J', J''}."""
     if kind not in _KIND_FACTORS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {DERIVATIVE_KINDS}")
+    if not (math.isfinite(a) and math.isfinite(beta)):
+        raise DomainError("a and beta must be finite")
     if beta <= -1.0:
         raise DomainError("beta must be > -1")
-    if tol <= 0.0:
-        raise DomainError("tol must be > 0")
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
+    check_inputs(r, tol)
     if r == 0.0:
         return EvalResult(0.0, 0.0, "oracle", 0)
     # |J'_l|, |J''_l| <= max over neighbor orders of the factorial bound, i.e.
@@ -155,7 +178,5 @@ def sum_derivative_series(
     arrays = _derivative_arrays(row, length)
     xk, yk = _KIND_FACTORS[kind]
     l = np.arange(1, length + 1, dtype=float)
-    terms = arrays[xk] * arrays[yk] * (l + beta) ** a
-    value = float(np.sum(terms))
-    err = tol + 1e-15 * float(np.sum(np.abs(terms)))
+    value, err = _sum_products(arrays[xk], arrays[yk], (l + beta) ** a, tol)
     return EvalResult(value, err, "oracle", length)

@@ -11,8 +11,6 @@ fallback; see :mod:`bnsum.backend`.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .backend import USE_NUMBA, njit
@@ -21,12 +19,17 @@ _RESCALE = 1e250
 _INV_RESCALE = 1e-250
 
 
-def _start_order(nmax: int, r: float) -> int:
+def _start_order(nmax: int, rs: np.ndarray) -> np.ndarray:
+    """Recurrence start order for each argument in ``rs``."""
     # Must clear the turning point: for r >> nmax the minimal solution only
     # starts decaying past l ~ r, so the start order is anchored at
     # max(nmax, r), not nmax alone.
-    big = max(nmax, r, 1.0)
-    return int(max(nmax, math.ceil(r))) + 10 + int(math.ceil(10.0 * math.sqrt(big)))
+    big = np.maximum(np.maximum(float(nmax), rs), 1.0)
+    return (
+        np.maximum(nmax, np.ceil(rs)).astype(np.int64)
+        + 10
+        + np.ceil(10.0 * np.sqrt(big)).astype(np.int64)
+    )
 
 
 @njit(cache=True)
@@ -76,7 +79,7 @@ def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
     out = np.zeros((nmax + 1, n))
     zero = rs == 0.0
     safe_r = np.where(zero, 1.0, rs)
-    m = max(_start_order(nmax, float(rs.max())) if n else 0, nmax + 1)
+    m = max(int(_start_order(nmax, rs).max(initial=0)), nmax + 1)
     jp = np.zeros(n)
     jc = np.full(n, 1e-300)
     norm = np.zeros(n)
@@ -117,14 +120,8 @@ def bessel_rows(nmax: int, rs: np.ndarray) -> np.ndarray:
     if rs.size == 0:
         return np.zeros((nmax + 1, 0))
     if USE_NUMBA:
-        big = np.maximum(np.maximum(float(nmax), rs), 1.0)
-        starts = (
-            np.maximum(nmax, np.ceil(rs)).astype(np.int64)
-            + 10
-            + np.ceil(10.0 * np.sqrt(big)).astype(np.int64)
-        )
         out = np.zeros((nmax + 1, rs.shape[0]))
-        _rows_kernel(nmax, rs, starts, out)
+        _rows_kernel(nmax, rs, _start_order(nmax, rs), out)
         return out
     return _rows_numpy(nmax, rs)
 

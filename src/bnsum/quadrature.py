@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import EvalResult, SeriesSpec
+from .direct import EvalResult, SeriesSpec, check_inputs
 from .errors import ConvergenceError, DomainError
 from .fseries import FParams, f_eval_many, f_eval_near_half_many
 from .kernels import bessel_rows
@@ -29,25 +29,19 @@ from .specfun import bessel_j_col, gauss_panel_nodes as _panel_nodes
 
 HALF_PI = math.pi / 2.0
 _SING_WIDTH = 0.4  # size of the graded region left of pi/2
+_MAX_PANELS = 4096  # refinement stops once a level exceeds a multiple of this
+_GRADING = 2.0  # ratio of the geometric panels towards pi/2 when alpha >= 1
+_PANELS_PER_PERIOD = 4  # oscillation resolution of the smooth and theta meshes
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    max_panels: int = 4096
-    grading_exponent: float = 2.0
-    oscillation_panels_per_period: int = 4
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise DomainError("tolerances must be > 0")
-        if self.max_panels < 8:
-            raise DomainError("max_panels must be >= 8")
-        if self.grading_exponent <= 1.0:
-            raise DomainError("grading_exponent must be > 1")
-        if self.oscillation_panels_per_period < 4:
-            raise DomainError("oscillation_panels_per_period must be >= 4")
 
 
 def _refine(edges: np.ndarray, times: int) -> np.ndarray:
@@ -74,7 +68,7 @@ def _split_to_cap(edges: np.ndarray, cap: float) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _half_mesh(r: float, alpha: float, cfg: QuadratureConfig, level: int):
+def _half_mesh(r: float, alpha: float, level: int):
     """Quadrature rule for [0, pi/2) split at pi/2 - 0.4.
 
     Returns (phi nodes, weights) for the smooth part and (eps nodes, weights)
@@ -82,7 +76,7 @@ def _half_mesh(r: float, alpha: float, cfg: QuadratureConfig, level: int):
     so that nodes arbitrarily close to pi/2 never round onto it.  The eps
     weights absorb the substitution jacobian.
     """
-    width_cap = HALF_PI / max(1.0, r / math.pi) * (4.0 / cfg.oscillation_panels_per_period)
+    width_cap = HALF_PI / max(1.0, r / math.pi) * (4.0 / _PANELS_PER_PERIOD)
     smooth_end = HALF_PI - _SING_WIDTH
     n_smooth = max(4, int(math.ceil(smooth_end / width_cap)))
     smooth_edges = _refine(np.linspace(0.0, smooth_end, n_smooth + 1), level)
@@ -98,17 +92,16 @@ def _half_mesh(r: float, alpha: float, cfg: QuadratureConfig, level: int):
         eps_nodes = un ** (1.0 / alpha)
         eps_weights = uw * (1.0 / alpha) * un ** (1.0 / alpha - 1.0)
     else:
-        g = cfg.grading_exponent
-        depth = int(math.ceil(46.0 * math.log(2.0) / math.log(g)))
-        eps_edges = _SING_WIDTH * g ** (-np.arange(depth, -1, -1, dtype=float))
+        depth = int(math.ceil(46.0 * math.log(2.0) / math.log(_GRADING)))
+        eps_edges = _SING_WIDTH * _GRADING ** (-np.arange(depth, -1, -1, dtype=float))
         eps_edges = _split_to_cap(eps_edges, width_cap)
         eps_edges = _refine(eps_edges, level)
         eps_nodes, eps_weights = _panel_nodes(eps_edges)
     return nodes, weights, eps_nodes, eps_weights
 
 
-def _hankel_half(p: FParams, nu: int, r: float, cfg: QuadratureConfig, level: int):
-    nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, cfg, level)
+def _hankel_half(p: FParams, nu: int, r: float, level: int):
+    nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
     total = float(np.sum(weights * f_eval_many(p, nodes)
                          * bessel_j_col(nu, 2.0 * r * np.cos(nodes))))
     # cos(pi/2 - eps) = sin(eps), evaluated without forming phi
@@ -117,10 +110,10 @@ def _hankel_half(p: FParams, nu: int, r: float, cfg: QuadratureConfig, level: in
     return total, nodes.size + eps.size
 
 
-def _hankel_full(p: FParams, nu: int, r: float, cfg: QuadratureConfig, level: int):
+def _hankel_full(p: FParams, nu: int, r: float, level: int):
     # Mirror of the half mesh onto (pi/2, pi]; F evaluated there directly so
     # the parity-reduction identity can be tested against this route.
-    nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, cfg, level)
+    nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
     total = 0.0
     for sgn in (1, -1):
         phi = nodes if sgn == 1 else math.pi - nodes
@@ -154,8 +147,7 @@ def eval_hankel(
     cfg = cfg or QuadratureConfig()
     if spec.a >= 0.0:
         raise DomainError("eval_hankel requires a < 0")
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
+    check_inputs(r, cfg.abs_tol, cfg.rel_tol)
     sp = spec.canonical()
     if r == 0.0:
         return EvalResult(0.0, 0.0, "hankel", 0)
@@ -164,20 +156,20 @@ def eval_hankel(
 
     def evaluate(level):
         if use_parity:
-            raw, n = _hankel_half(p, sp.nu, r, cfg, level)
+            raw, n = _hankel_half(p, sp.nu, r, level)
             raw *= 2.0
         else:
-            raw, n = _hankel_full(p, sp.nu, r, cfg, level)
+            raw, n = _hankel_full(p, sp.nu, r, level)
         return sign / math.pi * raw, n, 0.0
 
     def tol_for(value):
         return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
-    return _refinement_loop(evaluate, tol_for, 16 * cfg.max_panels, "hankel")
+    return _refinement_loop(evaluate, tol_for, 16 * _MAX_PANELS, "hankel")
 
 
-def _theta_rule(r: float, nu: int, cfg: QuadratureConfig, level: int):
-    width_cap = HALF_PI / max(1.0, r / math.pi) * (4.0 / cfg.oscillation_panels_per_period)
+def _theta_rule(r: float, nu: int, level: int):
+    width_cap = HALF_PI / max(1.0, r / math.pi) * (4.0 / _PANELS_PER_PERIOD)
     n = max(4, int(math.ceil(HALF_PI / width_cap)))
     edges = _refine(np.linspace(0.0, HALF_PI, n + 1), level)
     tn, tw = _panel_nodes(edges)
@@ -189,14 +181,13 @@ def eval_exp2d(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None) 
     cfg = cfg or QuadratureConfig()
     if spec.a >= 0.0:
         raise DomainError("eval_exp2d requires a < 0")
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
+    check_inputs(r, cfg.abs_tol, cfg.rel_tol)
     sp = spec.canonical()
     p = FParams(-sp.a, sp.beta, sp.mu)
     prefactor = 2.0 * (1j) ** (-sp.mu) / math.pi ** 2
 
     def evaluate(level):
-        nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, cfg, level)
+        nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
         cphi = np.concatenate((np.cos(nodes), -np.cos(nodes), np.sin(eps), -np.sin(eps)))
         w = np.concatenate((weights, weights, eps_w, eps_w))
         fvals = np.concatenate((
@@ -205,7 +196,7 @@ def eval_exp2d(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None) 
             f_eval_near_half_many(p, eps, side=1),
             f_eval_near_half_many(p, eps, side=-1),
         ))
-        tn, tw = _theta_rule(r, sp.nu, cfg, level)
+        tn, tw = _theta_rule(r, sp.nu, level)
         kernel = np.exp(2j * r * cphi[:, None] * np.cos(tn)[None, :])
         inner = kernel @ tw
         total = complex(np.sum(w * fvals * inner)) * prefactor
@@ -214,7 +205,7 @@ def eval_exp2d(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None) 
     def tol_for(value):
         return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
-    res = _refinement_loop(evaluate, tol_for, 4096 * cfg.max_panels, "exp2d")
+    res = _refinement_loop(evaluate, tol_for, 4096 * _MAX_PANELS, "exp2d")
     return EvalResult(res.value, res.err_est, "exp2d", res.work)
 
 
@@ -223,7 +214,8 @@ def eval_lifted(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None)
     cfg = cfg or QuadratureConfig()
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")
-    if r <= 0.0:
+    check_inputs(r, cfg.abs_tol, cfg.rel_tol)
+    if r == 0.0:
         raise DomainError("eval_lifted requires r > 0")
     depth = int(math.floor(spec.a)) + 3
     nmax = max(spec.m, spec.m_prime) + depth + 2

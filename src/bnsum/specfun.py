@@ -1,18 +1,16 @@
 """Self-contained real/complex special-function kernel.
 
 Gamma, digamma, Hurwitz zeta (Euler-Maclaurin continuation), the Lerch
-transcendent on the unit circle, its value at -1, integer-order Bessel J rows
-and extended harmonic numbers.  Everything here is pure and reentrant; the
-Bernoulli/Gauss tables are built at import time and never mutated.
+transcendent on the unit circle, its value at -1, integer-order Bessel J
+columns and extended harmonic numbers.  Everything here is pure and
+reentrant; the Bernoulli/Gauss tables are built at import time and never
+mutated.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,21 +18,6 @@ from .errors import DomainError, PoleError, SingularityError
 from .kernels import bessel_rows
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-class ComplexValue(NamedTuple):
-    re: float
-    im: float
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
-class BesselRow:
-    order_max: int
-    argument: float
-    values: np.ndarray  # J_0 .. J_order_max
 
 
 def _bernoulli_even(count: int) -> tuple[float, ...]:
@@ -166,13 +149,6 @@ def phi_minus_one(s: float, a: float) -> float:
     return (hurwitz_zeta(s, a / 2.0) - hurwitz_zeta(s, (a + 1.0) / 2.0)) / 2.0 ** s
 
 
-def phi_minus_one_series(s: float, a: float, n: int = 48) -> float:
-    """Secondary route for Phi(-1, s, a): accelerated alternating series."""
-    if a <= 0.0 or s <= 0.0:
-        raise DomainError("series route requires a > 0, s > 0")
-    return _alternating_sum(lambda k: (k + a) ** (-s), n)
-
-
 # ---------------------------------------------------------------------------
 # Lerch transcendent on the unit circle: Phi(-e^{2 i phi}, alpha, v)
 # ---------------------------------------------------------------------------
@@ -264,10 +240,6 @@ def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
     return np.exp(-1j * v * ells) * (acc + head)
 
 
-def _lerch_local(phi: float, alpha: float, v: float) -> complex:
-    return complex(lerch_local_many(np.array([2.0 * phi - math.pi]), alpha, v)[0])
-
-
 def lerch_unit_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
     """Vectorized Phi(-e^{2 i phi}, alpha, v) over an array of angles."""
     phis = np.asarray(phis, dtype=np.float64)
@@ -280,7 +252,7 @@ def lerch_unit_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
     return out
 
 
-def lerch_unit(phi: float, alpha: float, v: float) -> ComplexValue:
+def lerch_unit(phi: float, alpha: float, v: float) -> complex:
     """Phi(-e^{2 i phi}, alpha, v) for phi in [0, pi], alpha > 0, v > 0."""
     if not (0.0 <= phi <= math.pi):
         raise DomainError("phi must lie in [0, pi]")
@@ -288,11 +260,10 @@ def lerch_unit(phi: float, alpha: float, v: float) -> ComplexValue:
         raise DomainError("lerch_unit requires alpha > 0 and v > 0")
     if alpha <= 1.0 and phi == math.pi / 2.0:
         raise SingularityError("Phi(-e^{2i phi}, alpha, v) singular at phi=pi/2 for alpha <= 1")
-    val = lerch_unit_many(np.array([phi]), alpha, v)[0]
-    return ComplexValue(float(val.real), float(val.imag))
+    return complex(lerch_unit_many(np.array([phi]), alpha, v)[0])
 
 
-def lerch_unit_series(phi: float, alpha: float, v: float, terms: int = 6000) -> ComplexValue:
+def lerch_unit_series(phi: float, alpha: float, v: float, terms: int = 6000) -> complex:
     """Cross-check route: epsilon-accelerated partial sums of the defining series."""
     if alpha <= 0.0 or v <= 0.0:
         raise DomainError("lerch_unit_series requires alpha > 0 and v > 0")
@@ -300,8 +271,7 @@ def lerch_unit_series(phi: float, alpha: float, v: float, terms: int = 6000) -> 
     n = np.arange(terms)
     a_n = z ** n / (v + n) ** alpha
     partial = np.cumsum(a_n)
-    val = _wynn_epsilon(partial[-48:])
-    return ComplexValue(float(val.real), float(val.imag))
+    return _wynn_epsilon(partial[-48:])
 
 
 def _wynn_epsilon(seq: np.ndarray) -> complex:
@@ -323,16 +293,6 @@ def _wynn_epsilon(seq: np.ndarray) -> complex:
                 break
             best = cur[-1]
     return complex(best)
-
-
-def bessel_j_row(order_max: int, r: float) -> BesselRow:
-    """J_0(r)..J_{order_max}(r) by normalized backward recurrence."""
-    if order_max < 0:
-        raise DomainError("order_max must be >= 0")
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
-    vals = bessel_rows(order_max, np.array([r]))[:, 0]
-    return BesselRow(order_max=order_max, argument=r, values=vals)
 
 
 def bessel_j_col(order: int, args: np.ndarray) -> np.ndarray:

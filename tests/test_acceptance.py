@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from bnsum.asymptotics import (
+    COR42_PHASE,
+    COR62_OSC_TERM,
     eval_form,
     derivative_series_form,
     leading_integer,
@@ -213,7 +215,8 @@ def test_validate_suite_is_green():
     rep = run_suite("all")
     failed = [c.name for c in rep.checks if c.status != "pass"]
     assert not failed, f"failing checks: {failed}"
-    assert rep.phase_resolution["cor42_phase"] in ("mu", "nu")
+    assert rep.phase_resolution == {"cor42_phase": COR42_PHASE,
+                                    "cor62_osc_term": COR62_OSC_TERM}
     # cross-check the cor42 fit here as well
     phase, ratio = resolve_cor42_phase()
     assert ratio >= 2.0

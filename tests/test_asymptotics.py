@@ -1,10 +1,15 @@
 """Asymptotic-form constructors and their agreement with the direct sum."""
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bnsum
 from bnsum.asymptotics import (
+    COR42_PHASE,
+    COR62_OSC_TERM,
     AsymptoticForm,
     AsymptoticTerm,
     derivative_series_form,
@@ -12,10 +17,10 @@ from bnsum.asymptotics import (
     leading_integer,
     leading_noninteger,
     leading_nonneg,
-    load_phase_constants,
 )
 from bnsum.direct import SeriesSpec, sum_derivative_series, sum_series
 from bnsum.errors import DomainError
+from bnsum.harness import run_suite
 
 
 class TestEvalForm:
@@ -181,8 +186,28 @@ class TestDerivativeForms:
             assert np.all(np.diff(env) < 0.0)
 
 
+def _snapshot(root: Path) -> dict:
+    # interpreter and compiler caches are not package files
+    return {
+        str(p.relative_to(root)): (p.stat().st_size, p.stat().st_mtime_ns,
+                                   hashlib.sha256(p.read_bytes()).hexdigest())
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and "__pycache__" not in p.parts
+    }
+
+
 class TestPhaseConstants:
-    def test_loaded_shape(self):
-        consts = load_phase_constants()
-        assert consts["cor42_phase"] in ("mu", "nu")
-        assert consts["cor62_osc_term"] in ("present", "absent")
+    def test_defaults_are_library_constants(self):
+        assert leading_noninteger(1.5, 0.5, 2, 1) == leading_noninteger(
+            1.5, 0.5, 2, 1, phase_convention=COR42_PHASE)
+        assert leading_integer(1, 0.0, 0, 0) == leading_integer(
+            1, 0.0, 0, 0, phase_convention=COR42_PHASE, osc_term=COR62_OSC_TERM)
+
+    def test_suite_writes_nothing(self):
+        root = Path(bnsum.__file__).parent
+        before = _snapshot(root)
+        rep = run_suite("asymptotics")
+        assert _snapshot(root) == before
+        assert rep.passed
+        assert rep.phase_resolution == {"cor42_phase": COR42_PHASE,
+                                        "cor62_osc_term": COR62_OSC_TERM}

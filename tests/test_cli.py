@@ -54,6 +54,20 @@ class TestEval:
     def test_bad_flag_exit_2(self, capsys):
         assert run(capsys, "eval", "--a", "0")[0] == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--r", "inf", "--method", "oracle"),
+        ("--r", "nan", "--method", "asym"),
+        ("--beta", "nan"),
+        ("--a", "nan"),
+        ("--tol", "nan"),
+    ])
+    def test_nonfinite_input_exit_2(self, capsys, flags):
+        # argparse keeps the last value of a repeated flag
+        code, out, err = run(capsys, "eval", "--a", "-1.5", "--beta", "0", "--m", "0",
+                             "--mprime", "1", "--r", "5", *flags)
+        assert code == 2
+        assert out == "" and "finite" in err
+
 
 class TestSweep:
     def test_structure(self, capsys, tmp_path):

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bnsum import kernels
 from bnsum.direct import (
     DERIVATIVE_KINDS,
     SeriesSpec,
@@ -18,6 +19,14 @@ from bnsum.errors import DomainError
 from bnsum.kernels import bessel_rows, bessel_rows_numpy
 
 mpmath.mp.dps = 25
+
+
+def mp_series(a, beta, r, product):
+    """sum_{l>=1} product(l, r) (l+beta)^a at 30 digits, for r <= 150."""
+    with mpmath.workdps(30):
+        rr = mpmath.mpf(r)
+        return mpmath.fsum(product(l, rr) * (l + mpmath.mpf(beta)) ** a
+                           for l in range(1, int(1.36 * r) + 80))
 
 
 class TestBesselRows:
@@ -34,6 +43,18 @@ class TestBesselRows:
         np.testing.assert_allclose(
             bessel_rows(20, rs), bessel_rows_numpy(20, rs), rtol=0, atol=1e-15
         )
+
+    def test_loop_kernel(self, monkeypatch):
+        # without numba the njit shim leaves _rows_kernel as plain Python;
+        # nmax = 600 at small r takes the rescale branch
+        monkeypatch.setattr(kernels, "USE_NUMBA", True)
+        rs = np.array([0.0, 0.3, 7.7, 80.0, 400.0])
+        rows = bessel_rows(600, rs)
+        np.testing.assert_allclose(rows, bessel_rows_numpy(600, rs), rtol=0, atol=1e-15)
+        for j, r in enumerate(rs):
+            for n in (0, 3, 90, 600):
+                want = float(mpmath.besselj(n, float(r)))
+                assert rows[n, j] == pytest.approx(want, abs=2e-15)
 
     def test_zero_argument(self):
         row = bessel_rows(4, np.array([0.0]))[:, 0]
@@ -107,6 +128,18 @@ class TestSumSeries:
         got = sum_series(sp, r).value
         assert got == pytest.approx(want, abs=1e-11)
 
+    # (l+beta)^a reaches 1e10 here, so the Bessel values' own error dominates
+    @pytest.mark.parametrize("a, beta, r", [
+        (-1.949, -0.99993, 60.3),
+        (-2.5, -0.99993, 150.0),
+        (-1.5, -0.9999, 128.2),
+    ])
+    def test_err_est_bounds_mpmath(self, a, beta, r):
+        got = sum_series(SeriesSpec(a, beta, 2, 3), r)
+        want = mp_series(a, beta, r,
+                         lambda l, x: mpmath.besselj(l + 3, x) * mpmath.besselj(l + 2, x))
+        assert abs(got.value - want) <= got.err_est
+
     def test_certified_tolerance(self):
         sp = SeriesSpec(2.0, 0.0, 0, 0)
         loose = sum_series(sp, 25.0, tol=1e-6)
@@ -134,6 +167,16 @@ class TestDerivativeSeries:
         )
         got = sum_derivative_series(kind, a, beta, r).value
         assert got == pytest.approx(want, abs=1e-11)
+
+    @pytest.mark.parametrize("kind, orders, a, beta, r", [
+        ("JdJ", (0, 1), -2.5, -0.99993, 150.0),
+        ("dJdJ", (1, 1), -1.5, -0.9999, 40.9),
+    ])
+    def test_err_est_bounds_mpmath(self, kind, orders, a, beta, r):
+        got = sum_derivative_series(kind, a, beta, r)
+        want = mp_series(a, beta, r, lambda l, x: mpmath.besselj(l, x, derivative=orders[0])
+                         * mpmath.besselj(l, x, derivative=orders[1]))
+        assert abs(got.value - want) <= got.err_est
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

@@ -16,12 +16,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_panels=4)
-        with pytest.raises(DomainError):
-            QuadratureConfig(grading_exponent=1.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(oscillation_panels_per_period=2)
 
 
 class TestHankel:
