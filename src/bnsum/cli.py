@@ -50,8 +50,8 @@ def _asym_form(spec: SeriesSpec) -> AsymptoticForm:
 
 def _eval_asym(spec: SeriesSpec, r: float) -> EvalResult:
     form = _asym_form(spec)
-    err = r ** (-form.gamma_err) if (r > 0.0 and math.isfinite(form.gamma_err)) else 0.0
-    value = eval_form(form, r) if r > 0.0 else 0.0
+    value = eval_form(form, r)  # rejects r = 0 before r ** -gamma divides by it
+    err = r ** (-form.gamma_err) if math.isfinite(form.gamma_err) else 0.0
     return EvalResult(value, err, "asym", len(form.terms))
 
 
@@ -129,6 +129,8 @@ def _sweep_row(spec: SeriesSpec, r: float, methods: list[str]) -> dict[str, floa
         if method == "hankel" and spec.a >= 0.0:
             continue
         if method == "lifted" and (spec.a < 0.0 or r <= 0.0):
+            continue
+        if method == "asym" and r <= 0.0:
             continue
         try:
             row[method] = _evaluate(spec, r, method, 1e-10).value

@@ -72,16 +72,25 @@ def check_inputs(r: float, *tols: float) -> None:
         raise DomainError("tol must be finite and > 0")
 
 
-def _sum_products(x: np.ndarray, y: np.ndarray, weight: np.ndarray,
+def _sum_products(x: np.ndarray, y: np.ndarray, base: np.ndarray, a: float,
                   tol: float) -> tuple[float, float]:
-    """sum x*y*weight and its bound: tail tol, rounding, Bessel value error."""
-    terms = x * y * weight
-    err = (
-        tol
-        + 1e-15 * float(np.sum(np.abs(terms)))
-        + _BESSEL_ABS_ERR * float(np.sum((np.abs(x) + np.abs(y)) * weight))
-    )
-    return float(np.sum(terms)), err
+    """sum x*y*base^a and its bound: tail tol, rounding, Bessel value error.
+
+    Raises ToleranceError when either is not finite, e.g. when base^a
+    overflows to inf where x*y underflows to 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = base ** a
+        terms = x * y * weight
+        value = float(np.sum(terms))
+        err = (
+            tol
+            + 1e-15 * float(np.sum(np.abs(terms)))
+            + _BESSEL_ABS_ERR * float(np.sum((np.abs(x) + np.abs(y)) * weight))
+        )
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise ToleranceError("oracle sum is not finite in double precision")
+    return value, err
 
 
 def _log_term_bound(l: int, n1: int, n2: int, a: float, beta: float, logr2: float) -> float:
@@ -99,9 +108,12 @@ def _certified_length(n1: int, n2: int, a: float, beta: float, r: float, tol: fl
     logr2 = math.log(r / 2.0) if r > 0 else -math.inf
     l = max(5, int(math.ceil(math.e * r / 2.0)) + n1 + n2 + 10)
     while l < _HARD_CAP:
-        ratio_ok = (r / 2.0) ** 2 / ((l + n1 + 1) * (l + n2 + 1)) * (
-            (l + 1 + beta) / (l + beta)
-        ) ** max(a, 0.0) <= 0.5
+        try:
+            ratio_ok = (r / 2.0) ** 2 / ((l + n1 + 1) * (l + n2 + 1)) * (
+                (l + 1 + beta) / (l + beta)
+            ) ** max(a, 0.0) <= 0.5
+        except OverflowError:  # a huge a: no certificate at this l
+            ratio_ok = False
         if ratio_ok:
             log_next = _log_term_bound(l + 1, n1, n2, a, beta, logr2)
             if log_next < math.log(tol / 2.0):
@@ -122,7 +134,8 @@ def sum_series(spec: SeriesSpec, r: float, tol: float = 1e-12) -> EvalResult:
     value, err = _sum_products(
         row[1 + spec.m_prime : length + 1 + spec.m_prime],
         row[1 + spec.m : length + 1 + spec.m],
-        (l + spec.beta) ** spec.a,
+        l + spec.beta,
+        spec.a,
         tol,
     )
     return EvalResult(value, err, "oracle", length)
@@ -178,5 +191,5 @@ def sum_derivative_series(
     arrays = _derivative_arrays(row, length)
     xk, yk = _KIND_FACTORS[kind]
     l = np.arange(1, length + 1, dtype=float)
-    value, err = _sum_products(arrays[xk], arrays[yk], (l + beta) ** a, tol)
+    value, err = _sum_products(arrays[xk], arrays[yk], l + beta, a, tol)
     return EvalResult(value, err, "oracle", length)

@@ -68,6 +68,14 @@ class TestEval:
         assert code == 2
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("a", ["400", "1e308"])
+    def test_nonfinite_oracle_exit_3(self, capsys, a):
+        # (l+beta)^a overflows; at 1e308 so does the certificate's term ratio
+        code, out, err = run(capsys, "eval", "--a", a, "--beta", "0", "--m", "0",
+                             "--mprime", "0", "--r", "5", "--method", "oracle")
+        assert code == 3
+        assert out == "" and err.startswith("error:")
+
 
 class TestSweep:
     def test_structure(self, capsys, tmp_path):
@@ -101,6 +109,15 @@ class TestSweep:
         assert run(capsys, *args, "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_r_zero_leaves_asym_empty(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--a", "-1.5", "--beta", "0", "--m", "0",
+                         "--mprime", "0", "--r-start", "0", "--r-end", "2",
+                         "--points", "3", "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert rows[0][4] == "" and rows[1][4] != ""
+
     def test_unwritable_exit_4(self, capsys):
         code, _, _ = run(capsys, "sweep", "--a", "-1", "--beta", "0", "--m", "0",
                          "--mprime", "0", "--r-start", "1", "--r-end", "2",
@@ -117,6 +134,13 @@ class TestAsym:
         assert obj["gamma_err"] == 1.5
         powers = {t["power"] for t in obj["terms"]}
         assert powers == {0.5, 1.0}
+
+    @pytest.mark.parametrize("command", [("asym",), ("eval", "--method", "asym")])
+    def test_r_zero_exit_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--a", "-1.5", "--beta", "0", "--m", "0",
+                             "--mprime", "0", "--r", "0")
+        assert code == 2
+        assert out == "" and "r > 0" in err
 
 
 class TestValidate:

@@ -15,7 +15,7 @@ from bnsum.direct import (
     sum_derivative_series,
     sum_series,
 )
-from bnsum.errors import DomainError
+from bnsum.errors import DomainError, ToleranceError
 from bnsum.kernels import bessel_rows, bessel_rows_numpy
 
 mpmath.mp.dps = 25
@@ -56,13 +56,40 @@ class TestBesselRows:
                 want = float(mpmath.besselj(n, float(r)))
                 assert rows[n, j] == pytest.approx(want, abs=2e-15)
 
+    def test_one_column_matches_numpy_bitwise(self):
+        # without numba a one-column call runs the plain loop, which does the
+        # numpy kernel's arithmetic; nmax = 600 at small r takes the rescale
+        rng = np.random.default_rng(5)
+        rs = [0.0, 1e-47, *10.0 ** rng.uniform(-3.0, 3.0, 20)]
+        for r in rs:
+            for nmax in (0, 1, 5, 600):
+                got = bessel_rows(nmax, [r])
+                assert np.array_equal(got, bessel_rows_numpy(nmax, [r]), equal_nan=True), \
+                    (nmax, r)
+
+    def test_dispatch_by_column_count(self, monkeypatch):
+        calls = []
+        numpy_kernel = kernels._rows_numpy
+
+        def recording(nmax, rs):
+            calls.append(rs.size)
+            return numpy_kernel(nmax, rs)
+
+        monkeypatch.setattr(kernels, "USE_NUMBA", False)
+        monkeypatch.setattr(kernels, "_rows_numpy", recording)
+        bessel_rows(30, np.array([7.7]))
+        assert calls == []
+        bessel_rows(30, np.linspace(0.1, 40.0, 64))
+        assert calls == [64]
+
     def test_zero_argument(self):
         row = bessel_rows(4, np.array([0.0]))[:, 0]
         assert row[0] == 1.0
         assert np.all(row[1:] == 0.0)
 
     def test_no_numba_env_flag(self):
-        # the fallback path is selected by BNSUM_NO_NUMBA and agrees with mpmath
+        # BNSUM_NO_NUMBA turns numba off: this one-column call runs the
+        # plain-Python loop and agrees with mpmath
         code = (
             "import numpy as np\n"
             "from bnsum.kernels import bessel_rows\n"
@@ -140,6 +167,13 @@ class TestSumSeries:
                          lambda l, x: mpmath.besselj(l + 3, x) * mpmath.besselj(l + 2, x))
         assert abs(got.value - want) <= got.err_est
 
+    @pytest.mark.parametrize("a, r", [(400.0, 5.0), (130.0, 50.0), (1e308, 5.0)])
+    def test_nonfinite_raises(self, a, r):
+        # (l+beta)^a overflows where J*J underflows; 1e308 overflows the
+        # certificate's term ratio itself
+        with pytest.raises(ToleranceError):
+            sum_series(SeriesSpec(a, 0.0, 0, 0), r)
+
     def test_certified_tolerance(self):
         sp = SeriesSpec(2.0, 0.0, 0, 0)
         loose = sum_series(sp, 25.0, tol=1e-6)
@@ -177,6 +211,10 @@ class TestDerivativeSeries:
         want = mp_series(a, beta, r, lambda l, x: mpmath.besselj(l, x, derivative=orders[0])
                          * mpmath.besselj(l, x, derivative=orders[1]))
         assert abs(got.value - want) <= got.err_est
+
+    def test_nonfinite_raises(self):
+        with pytest.raises(ToleranceError):
+            sum_derivative_series("JJ", 200.0, 0.0, 5.0)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
