@@ -1,4 +1,4 @@
-"""Benchmark the Bessel-row kernel against the numpy kernel.
+"""Benchmark the Bessel-row kernel against the numpy kernel ``_rows_numpy``.
 
 The many-argument cases time ``bessel_rows`` only when numba is active (it
 runs the numpy kernel otherwise).  The one-argument case, 400 calls of one
@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from bnsum.backend import USE_NUMBA
-from bnsum.kernels import bessel_rows, bessel_rows_numpy
+from bnsum.kernels import _rows_numpy, bessel_rows
 
 
 def timeit(fn, *args, repeats=5):
@@ -46,25 +46,25 @@ def main():
     print(f"numba available and active: {USE_NUMBA}")
     print(f"{'case':28s} {'active':>10s} {'numpy':>10s} {'speedup':>8s}")
     for name, nmax, rs in cases:
-        t_numpy = timeit(bessel_rows_numpy, nmax, rs, repeats=repeats)
+        t_numpy = timeit(_rows_numpy, nmax, rs, repeats=repeats)
         if USE_NUMBA:
             t_active = timeit(bessel_rows, nmax, rs, repeats=repeats)
             print(f"{name:28s} {t_active * 1e3:8.2f}ms {t_numpy * 1e3:8.2f}ms "
                   f"{t_numpy / t_active:7.1f}x")
         else:
             print(f"{name:28s} {'-':>10s} {t_numpy * 1e3:8.2f}ms {'':>8s}")
-        ref = bessel_rows_numpy(nmax, rs)
+        ref = _rows_numpy(nmax, rs)
         got = bessel_rows(nmax, rs)
         assert np.allclose(ref, got, atol=1e-14), "backends disagree"
 
     one_arg = rng.uniform(1.0, 900.0, 400)
-    t_numpy = timeit(_per_arg, bessel_rows_numpy, one_arg, repeats=repeats)
+    t_numpy = timeit(_per_arg, _rows_numpy, one_arg, repeats=repeats)
     t_active = timeit(_per_arg, bessel_rows, one_arg, repeats=repeats)
     print(f"{'400 calls x 1 arg':28s} {t_active * 1e3:8.2f}ms {t_numpy * 1e3:8.2f}ms "
           f"{t_numpy / t_active:7.1f}x")
     for r in one_arg:
         assert np.array_equal(bessel_rows(ONE_ARG_NMAX, [r]),
-                              bessel_rows_numpy(ONE_ARG_NMAX, [r])), "backends disagree"
+                              _rows_numpy(ONE_ARG_NMAX, np.array([r]))), "backends disagree"
 
 
 if __name__ == "__main__":

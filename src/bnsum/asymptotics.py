@@ -106,6 +106,19 @@ def _osc_phase(mu: int, nu: int, phase_convention: str) -> float:
     raise DomainError("phase_convention must be 'mu' or 'nu'")
 
 
+def _one_over_r_coeffs(alpha: float, beta: float) -> tuple[float, float]:
+    """The 1/r pair shared by the non-integer expansion, the integer one at
+    alpha > 1 and (up to sign) the a < -1 derivative table:
+    zeta(alpha, beta+1)/pi and
+    2^{-alpha} (zeta(alpha,(beta+2)/2) - zeta(alpha,(beta+1)/2))/pi,
+    the coefficients of cos(pi nu/2) and of sin(2r + phase)."""
+    return hurwitz_zeta(alpha, beta + 1.0) / math.pi, (
+        2.0 ** (-alpha)
+        * (hurwitz_zeta(alpha, (beta + 2.0) / 2.0) - hurwitz_zeta(alpha, (beta + 1.0) / 2.0))
+        / math.pi
+    )
+
+
 def leading_noninteger(
     alpha: float,
     beta: float,
@@ -137,13 +150,8 @@ def leading_noninteger(
         * reciprocal_gamma((nu - alpha + 2.0) / 2.0)
         * reciprocal_gamma((-nu - alpha + 2.0) / 2.0)
     )
-    cos_half = _cos_half_pi(nu)
-    const_1r = cos_half * hurwitz_zeta(alpha, beta + 1.0) / math.pi
-    osc_1r = (
-        2.0 ** (-alpha)
-        * (hurwitz_zeta(alpha, (beta + 2.0) / 2.0) - hurwitz_zeta(alpha, (beta + 1.0) / 2.0))
-        / math.pi
-    )
+    zeta_1r, osc_1r = _one_over_r_coeffs(alpha, beta)
+    const_1r = _cos_half_pi(nu) * zeta_1r
     terms = []
     if lead != 0.0:
         terms.append(AsymptoticTerm(lead, alpha))
@@ -208,20 +216,11 @@ def leading_integer(
                 AsymptoticTerm(-phi_minus_one(1.0, beta + 1.0) / math.pi, 1.0, "sin2r", phase)
             )
         return AsymptoticForm(tuple(terms), 1.0, strict=True)
+    zeta_1r, osc_1r = _one_over_r_coeffs(float(alpha), beta)
     if cos_half != 0.0:
-        terms.append(
-            AsymptoticTerm(cos_half * hurwitz_zeta(float(alpha), beta + 1.0) / math.pi, 1.0)
-        )
+        terms.append(AsymptoticTerm(cos_half * zeta_1r, 1.0))
     if osc_term == "present":
-        coeff = (
-            2.0 ** (-alpha)
-            * (
-                hurwitz_zeta(float(alpha), (beta + 2.0) / 2.0)
-                - hurwitz_zeta(float(alpha), (beta + 1.0) / 2.0)
-            )
-            / math.pi
-        )
-        terms.append(AsymptoticTerm(coeff, 1.0, "sin2r", phase))
+        terms.append(AsymptoticTerm(osc_1r, 1.0, "sin2r", phase))
     # error O(r^{-2+eps}) with eps arbitrarily small
     return AsymptoticForm(tuple(terms), 2.0, strict=True)
 
@@ -292,38 +291,32 @@ def derivative_series_form(kind: str, regime: str, a: float, beta: float) -> Asy
         psi_b = digamma(beta + 1.0)
         phi1 = phi_minus_one(1.0, beta + 1.0)
         table = {
-            "JJ": ((1.0 / pi, "logr", 0.0), ((-h + math.log(2.0) + EULER_GAMMA) / pi, "const", 0.0)),
-            "JdJ": ((-phi1 / pi, "cos2r", 0.0),),
+            "JJ": ((1.0 / pi, "logr"), ((-h + math.log(2.0) + EULER_GAMMA) / pi, "const")),
+            "JdJ": ((-phi1 / pi, "cos2r"),),
             "dJdJ": (
-                (1.0 / pi, "logr", 0.0),
-                ((-h + EULER_GAMMA - 1.0 + math.log(2.0)) / pi, "const", 0.0),
+                (1.0 / pi, "logr"),
+                ((-h + EULER_GAMMA - 1.0 + math.log(2.0)) / pi, "const"),
             ),
-            "JddJ": ((-1.0 / pi, "logr", 0.0), ((psi_b - math.log(2.0) + 1.0) / pi, "const", 0.0)),
-            "dJddJ": ((phi1 / pi, "cos2r", 0.0),),
+            "JddJ": ((-1.0 / pi, "logr"), ((psi_b - math.log(2.0) + 1.0) / pi, "const")),
+            "dJddJ": ((phi1 / pi, "cos2r"),),
             "ddJddJ": (
-                (1.0 / pi, "logr", 0.0),
-                ((-3.0 * psi_b - 4.0 + math.log(8.0)) / (3.0 * pi), "const", 0.0),
+                (1.0 / pi, "logr"),
+                ((-3.0 * psi_b - 4.0 + math.log(8.0)) / (3.0 * pi), "const"),
             ),
         }
-        if kind not in table:
-            raise DomainError(f"unknown kind {kind!r}")
-        terms = tuple(AsymptoticTerm(c, 1.0, osc, ph) for c, osc, ph in table[kind])
-        return AsymptoticForm(terms, 1.0, strict=True)
-
-    # a < -1
-    z = hurwitz_zeta(-a, beta + 1.0)
-    d = hurwitz_zeta(-a, (beta + 1.0) / 2.0) - hurwitz_zeta(-a, (beta + 2.0) / 2.0)
-    w = 2.0 ** a * d
-    table = {
-        "JJ": ((z / pi, "const"), (-w / pi, "sin2r")),
-        "JdJ": ((-w / pi, "cos2r"),),
-        "dJdJ": ((z / pi, "const"), (w / pi, "sin2r")),
-        "JddJ": ((z / pi, "const"), (-w / pi, "sin2r")),
-        "dJddJ": ((w / pi, "cos2r"),),
-        "ddJddJ": ((z / pi, "const"), (-w / pi, "sin2r")),
-    }
+        gamma_err = 1.0
+    else:  # a < -1
+        z, w = _one_over_r_coeffs(-a, beta)
+        table = {
+            "JJ": ((z, "const"), (w, "sin2r")),
+            "JdJ": ((w, "cos2r"),),
+            "dJdJ": ((z, "const"), (-w, "sin2r")),
+            "JddJ": ((z, "const"), (w, "sin2r")),
+            "dJddJ": ((-w, "cos2r"),),
+            "ddJddJ": ((z, "const"), (w, "sin2r")),
+        }
+        gamma_err = 2.0  # O(r^{-2+eps}) with eps arbitrarily small
     if kind not in table:
         raise DomainError(f"unknown kind {kind!r}")
     terms = tuple(AsymptoticTerm(c, 1.0, osc) for c, osc in table[kind])
-    # error O(r^{-2+eps}) with eps arbitrarily small
-    return AsymptoticForm(terms, 2.0, strict=True)
+    return AsymptoticForm(terms, gamma_err, strict=True)

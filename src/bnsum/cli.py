@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 validation fail, 2 usage, 3 numeric, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .backend import thread_cap
 from .direct import EvalResult, SeriesSpec, check_inputs, sum_series
 from .errors import BnsumError, ConvergenceError, DomainError, ToleranceError
 from .harness import SUITES, run_suite
-from .quadrature import QuadratureConfig, eval_exp2d, eval_hankel, eval_lifted
+from .quadrature import eval_exp2d, eval_hankel, eval_lifted
 
 _METHODS = ("oracle", "hankel", "exp2d", "lifted", "asym", "auto")
 
@@ -61,13 +62,13 @@ def _evaluate(spec: SeriesSpec, r: float, method: str, tol: float) -> EvalResult
         method = "oracle" if r <= 50.0 else "asym"
     if method == "oracle":
         return sum_series(spec, r, tol=tol)
-    cfg = QuadratureConfig(abs_tol=tol, rel_tol=max(tol, 1e-12))
+    tols = {"abs_tol": tol, "rel_tol": max(tol, 1e-12)}
     if method == "hankel":
-        return eval_hankel(spec, r, cfg)
+        return eval_hankel(spec, r, **tols)
     if method == "exp2d":
-        return eval_exp2d(spec, r, cfg)
+        return eval_exp2d(spec, r, **tols)
     if method == "lifted":
-        return eval_lifted(spec, r, cfg)
+        return eval_lifted(spec, r, **tols)
     if method == "asym":
         return _eval_asym(spec, r)
     raise DomainError(f"unknown method {method!r}")
@@ -202,7 +203,7 @@ def _cmd_asym(args) -> int:
 
 def _cmd_validate(args) -> int:
     rep = run_suite(args.suite)
-    payload = json.dumps(rep.as_dict(), indent=2) + "\n"
+    payload = json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
     if args.report:
         try:
             with open(args.report, "w") as fh:

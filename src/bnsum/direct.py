@@ -105,7 +105,8 @@ def _log_term_bound(l: int, n1: int, n2: int, a: float, beta: float, logr2: floa
 
 def _certified_length(n1: int, n2: int, a: float, beta: float, r: float, tol: float) -> int:
     """Smallest L with a certified tail bound <= tol past term L."""
-    logr2 = math.log(r / 2.0) if r > 0 else -math.inf
+    # r > 0 here; r/2 underflows to 0 for the smallest subnormal r
+    logr2 = math.log(r / 2.0) if r / 2.0 > 0.0 else math.log(r) - math.log(2.0)
     l = max(5, int(math.ceil(math.e * r / 2.0)) + n1 + n2 + 10)
     while l < _HARD_CAP:
         try:

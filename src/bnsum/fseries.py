@@ -29,9 +29,9 @@ class FParams:
     mu: int
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:  # NaN fails too
             raise DomainError("FParams requires alpha > 0")
-        if self.beta <= -1.0:
+        if not self.beta > -1.0:
             raise DomainError("FParams requires beta > -1")
         if self.mu < 0:
             raise DomainError("FParams requires mu >= 0")
@@ -103,15 +103,3 @@ def f_singular_model(p: FParams, phi: float, side: str) -> float:
         -2.0 * math.sin(0.5 * math.pi * (p.mu - p.alpha))
     )
 
-
-def f_alpha_zero_closed_form(mu: int, phi: float) -> float:
-    """F_{0,mu}(phi) = -cos((mu+1) phi) / (2 cos phi).
-
-    Closed form of the alpha=0 boundary case; the integral representation
-    does not hold there (negative test fixture only).
-    """
-    if mu < 0:
-        raise DomainError("mu must be >= 0")
-    if phi == HALF_PI:
-        raise SingularityError("closed form singular at phi=pi/2")
-    return -math.cos((mu + 1) * phi) / (2.0 * math.cos(phi))

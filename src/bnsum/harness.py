@@ -25,7 +25,7 @@ from .asymptotics import (
 from .direct import SeriesSpec, sum_series
 from .errors import DomainError
 from .kernels import bessel_rows
-from .quadrature import QuadratureConfig, eval_exp2d, eval_hankel, eval_lifted
+from .quadrature import ABS_TOL, REL_TOL, eval_exp2d, eval_hankel, eval_lifted
 from .specfun import (
     EULER_GAMMA,
     digamma,
@@ -47,15 +47,6 @@ class Check:
     tolerance: float
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class ValidationReport:
@@ -70,13 +61,6 @@ class ValidationReport:
     def add(self, name: str, residual: float, tolerance: float, detail: str = "") -> None:
         status = "pass" if (math.isfinite(residual) and abs(residual) <= tolerance) else "fail"
         self.checks.append(Check(name, status, float(residual), float(tolerance), detail))
-
-    def as_dict(self) -> dict:
-        return {
-            "checks": [c.as_dict() for c in self.checks],
-            "phase_resolution": self.phase_resolution,
-            "environment": self.environment,
-        }
 
 
 def oscillation_grid(r_start: float, r_end: float, ratio: float = 1.05) -> np.ndarray:
@@ -198,8 +182,19 @@ _REP_BETAS = (0.0, 0.5, 1.0)
 _REP_ORDERS = ((0, 0), (1, 0), (2, 1))
 
 
+def _worst_vs_oracle(route, grid, floor: float):
+    """Largest |route - oracle| / max(floor, |oracle|) over the grid of
+    (a, beta, m, m', r) cases, and the case where it occurs."""
+    res = []
+    for a, b, m, mp, r in grid:
+        sp = SeriesSpec(a, b, m, mp)
+        o = sum_series(sp, r).value
+        res.append(abs(route(sp, r).value - o) / max(floor, abs(o)))
+    worst = max(res)
+    return worst, grid[res.index(worst)]
+
+
 def _suite_representations(rep: ValidationReport) -> None:
-    cfg = QuadratureConfig()
     grid = [
         (a, b, m, mp, r)
         for a in (-2.5, -1.5, -1.0, -0.5)
@@ -207,75 +202,53 @@ def _suite_representations(rep: ValidationReport) -> None:
         for (m, mp) in _REP_ORDERS
         for r in (1.0, 5.0, 10.0, 30.0)
     ]
-
-    def hankel_resid(case):
-        a, b, m, mp, r = case
-        sp = SeriesSpec(a, b, m, mp)
-        o = sum_series(sp, r).value
-        h = eval_hankel(sp, r, cfg).value
-        return abs(h - o) / max(1e-2, abs(o))
-
-    res = [hankel_resid(c) for c in grid]
-    worst = max(res)
-    rep.add("oracle_vs_hankel", worst, 1e-6,
-            f"max relative residual over {len(grid)} grid points; "
-            f"worst at {grid[res.index(worst)]}")
-
-    grid2 = [c for c in grid if c[4] <= 10.0]
-
-    def exp2d_resid(case):
-        a, b, m, mp, r = case
-        sp = SeriesSpec(a, b, m, mp)
-        o = sum_series(sp, r).value
-        e = eval_exp2d(sp, r, cfg).value
-        return abs(e - o) / max(1e-2, abs(o))
-
-    res2 = [exp2d_resid(c) for c in grid2]
-    worst2 = max(res2)
-    rep.add("oracle_vs_exp2d", worst2, 1e-5,
-            f"max relative residual over {len(grid2)} grid points; "
-            f"worst at {grid2[res2.index(worst2)]}")
-
-    grid3 = [
+    grid_lifted = [
         (a, b, m, mp, r)
         for a in (0.0, 0.5, 1.0, 2.0)
         for b in _REP_BETAS
         for (m, mp) in _REP_ORDERS
         for r in (2.0, 10.0, 30.0)
     ]
-
-    def lifted_resid(case):
-        a, b, m, mp, r = case
-        sp = SeriesSpec(a, b, m, mp)
-        o = sum_series(sp, r).value
-        v = eval_lifted(sp, r, cfg).value
-        return abs(v - o) / max(1e-1, abs(o))
-
-    res3 = [lifted_resid(c) for c in grid3]
-    worst3 = max(res3)
-    rep.add("oracle_vs_lifted", worst3, 1e-5,
-            f"max relative residual over {len(grid3)} grid points; "
-            f"worst at {grid3[res3.index(worst3)]}")
+    routes = (
+        ("oracle_vs_hankel", eval_hankel, grid, 1e-2, 1e-6),
+        ("oracle_vs_exp2d", eval_exp2d, [c for c in grid if c[4] <= 10.0], 1e-2, 1e-5),
+        ("oracle_vs_lifted", eval_lifted, grid_lifted, 1e-1, 1e-5),
+    )
+    for name, route, cases, floor, tol in routes:
+        worst, case = _worst_vs_oracle(route, cases, floor)
+        rep.add(name, worst, tol,
+                f"max relative residual over {len(cases)} grid points; worst at {case}")
 
     worst_par = 0.0
     for case in ((-1.5, 0.5, 1, 0, 5.0), (-0.5, 0.0, 1, 1, 10.0), (-2.0, 0.0, 0, 0, 3.0)):
         a, b, m, mp, r = case
         sp = SeriesSpec(a, b, m, mp)
-        half = eval_hankel(sp, r, cfg, use_parity=True).value
-        full = eval_hankel(sp, r, cfg, use_parity=False).value
+        half = eval_hankel(sp, r, use_parity=True).value
+        full = eval_hankel(sp, r, use_parity=False).value
         worst_par = max(worst_par, abs(half - full))
     rep.add("parity_reduction", worst_par, 1e-9,
             "int_0^pi equals 2 int_0^{pi/2} for the Hankel integrand")
 
-    imag = eval_exp2d(SeriesSpec(-1.5, 0.0, 2, 0), 1.0, cfg).err_est
+    imag = eval_exp2d(SeriesSpec(-1.5, 0.0, 2, 0), 1.0).err_est
     rep.add("exp2d_imag_residue", imag, 1e-8,
             "imaginary residue of the 2D representation at (-1.5, 0, 2, 0, r=1)")
 
 
 # --- asymptotics suite ----------------------------------------------------
 
-def _rms(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.asarray(values) ** 2)))
+def _fit_candidates(sp: SeriesSpec, forms: dict) -> tuple[str, float]:
+    """Winner among candidate forms of ``sp`` by the rms of the window
+    envelope of r * (oracle - form) over r in [50, 400], and the ratio of the
+    loser's rms over the winner's."""
+    anchors = oscillation_grid(50.0, 400.0)
+    scores = {}
+    for choice, form in forms.items():
+        env = window_envelope(
+            lambda r: r * (sum_series(sp, r).value - eval_form(form, r)), anchors
+        )
+        scores[choice] = float(np.sqrt(np.mean(env ** 2)))
+    winner, loser = sorted(scores, key=scores.get)
+    return winner, scores[loser] / scores[winner]
 
 
 def resolve_cor42_phase() -> tuple[str, float]:
@@ -285,37 +258,17 @@ def resolve_cor42_phase() -> tuple[str, float]:
     Test case (alpha, beta, m, m') = (1.5, 0.5, 2, 1): mu = 3, nu = 1 and
     (-1)^{m'} = -1, so the candidates predict opposite oscillation signs.
     """
-    alpha, beta, m, mp = 1.5, 0.5, 2, 1
-    sp = SeriesSpec(-alpha, beta, m, mp)
-    anchors = oscillation_grid(50.0, 400.0)
-    forms = {c: leading_noninteger(alpha, beta, m, mp, phase_convention=c)
-             for c in ("mu", "nu")}
-    scores = {}
-    for conv, form in forms.items():
-        env = window_envelope(
-            lambda r: r * (sum_series(sp, r).value - eval_form(form, r)), anchors
-        )
-        scores[conv] = _rms(env)
-    winner = min(scores, key=scores.get)
-    loser = "nu" if winner == "mu" else "mu"
-    return winner, scores[loser] / scores[winner]
+    return _fit_candidates(SeriesSpec(-1.5, 0.5, 2, 1), {
+        c: leading_noninteger(1.5, 0.5, 2, 1, phase_convention=c) for c in ("mu", "nu")
+    })
 
 
 def resolve_cor62_osc() -> tuple[str, float]:
     """Decide whether the alpha=1 expansion carries the oscillatory
     -Phi(-1,1,beta+1) sin(2r)/(pi r) term; returns choice and residual ratio."""
-    sp = SeriesSpec(-1.0, 0.0, 0, 0)
-    anchors = oscillation_grid(50.0, 400.0)
-    forms = {c: leading_integer(1, 0.0, 0, 0, osc_term=c) for c in ("present", "absent")}
-    scores = {}
-    for choice, form in forms.items():
-        env = window_envelope(
-            lambda r: r * (sum_series(sp, r).value - eval_form(form, r)), anchors
-        )
-        scores[choice] = _rms(env)
-    winner = min(scores, key=scores.get)
-    loser = "absent" if winner == "present" else "present"
-    return winner, scores[loser] / scores[winner]
+    return _fit_candidates(SeriesSpec(-1.0, 0.0, 0, 0), {
+        c: leading_integer(1, 0.0, 0, 0, osc_term=c) for c in ("present", "absent")
+    })
 
 
 def _suite_asymptotics(rep: ValidationReport) -> None:
@@ -343,12 +296,11 @@ def _suite_asymptotics(rep: ValidationReport) -> None:
     # oscillatory term of the library's form
     sp1 = SeriesSpec(-1.0, 0.0, 0, 0)
     form1 = leading_integer(1, 0.0, 0, 0)
-    rs = oscillation_grid(200.0, 1000.0, 1.01)
+    absent = leading_integer(1, 0.0, 0, 0, osc_term="absent")
     vals = np.array([
-        math.pi * float(r) * (sum_series(sp1, float(r)).value - eval_form(form1, float(r)))
-        + eval_form(leading_integer(1, 0.0, 0, 0, osc_term="absent"), float(r))
-        * math.pi * float(r) - math.log(float(r))
-        for r in rs
+        math.pi * r * (sum_series(sp1, r).value - eval_form(form1, r))
+        + eval_form(absent, r) * math.pi * r - math.log(r)
+        for r in map(float, oscillation_grid(200.0, 1000.0, 1.01))
     ])
     band = float(vals.max() - vals.min())
     rep.add("integer_log_capture", band, 0.1,
@@ -370,7 +322,7 @@ def run_suite(suite: str) -> ValidationReport:
         raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")
     rep = ValidationReport(environment={
         "suite": suite,
-        "quadrature": QuadratureConfig().__dict__,
+        "quadrature": {"abs_tol": ABS_TOL, "rel_tol": REL_TOL},
     })
     if suite in ("kernel", "all"):
         _suite_kernel(rep)

@@ -134,8 +134,3 @@ def bessel_rows(nmax: int, rs: np.ndarray) -> np.ndarray:
         return out
     return _rows_numpy(nmax, rs)
 
-
-# The numpy kernel whatever the column count: the reference of the tests
-# and of benchmarks/bench_bessel_rows.py.
-def bessel_rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
-    return _rows_numpy(nmax, np.asarray(rs, dtype=np.float64))

@@ -17,7 +17,6 @@ resp. geometrically graded open panels; phi = pi/2 itself is never a node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +31,10 @@ _SING_WIDTH = 0.4  # size of the graded region left of pi/2
 _MAX_PANELS = 4096  # refinement stops once a level exceeds a multiple of this
 _GRADING = 2.0  # ratio of the geometric panels towards pi/2 when alpha >= 1
 _PANELS_PER_PERIOD = 4  # oscillation resolution of the smooth and theta meshes
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise DomainError("tolerances must be > 0")
+# default tolerances of the three routes: refinement stops once err_est is
+# at most max(abs_tol, rel_tol * |value|)
+ABS_TOL = 1e-9
+REL_TOL = 1e-7
 
 
 def _refine(edges: np.ndarray, times: int) -> np.ndarray:
@@ -124,7 +117,8 @@ def _hankel_full(p: FParams, nu: int, r: float, level: int):
     return total, 2 * (nodes.size + eps.size)
 
 
-def _refinement_loop(evaluate, tol_for, max_nodes: int, tag: str) -> EvalResult:
+def _refinement_loop(evaluate, abs_tol: float, rel_tol: float, max_nodes: int,
+                     tag: str) -> EvalResult:
     prev = None
     work = 0
     for level in range(7):
@@ -132,7 +126,7 @@ def _refinement_loop(evaluate, tol_for, max_nodes: int, tag: str) -> EvalResult:
         work += n_nodes
         if prev is not None:
             err = abs(value - prev) + extra_err
-            if err <= tol_for(value):
+            if err <= max(abs_tol, rel_tol * abs(value)):
                 return EvalResult(value, err, tag, work)
             if n_nodes > max_nodes:
                 break
@@ -140,14 +134,12 @@ def _refinement_loop(evaluate, tol_for, max_nodes: int, tag: str) -> EvalResult:
     raise ConvergenceError(f"{tag} quadrature did not reach tolerance (work={work})")
 
 
-def eval_hankel(
-    spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None, use_parity: bool = True
-) -> EvalResult:
+def eval_hankel(spec: SeriesSpec, r: float, *, use_parity: bool = True,
+                abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """One-dimensional Hankel-transform route; requires a < 0."""
-    cfg = cfg or QuadratureConfig()
     if spec.a >= 0.0:
         raise DomainError("eval_hankel requires a < 0")
-    check_inputs(r, cfg.abs_tol, cfg.rel_tol)
+    check_inputs(r, abs_tol, rel_tol)
     sp = spec.canonical()
     if r == 0.0:
         return EvalResult(0.0, 0.0, "hankel", 0)
@@ -162,10 +154,7 @@ def eval_hankel(
             raw, n = _hankel_full(p, sp.nu, r, level)
         return sign / math.pi * raw, n, 0.0
 
-    def tol_for(value):
-        return max(cfg.abs_tol, cfg.rel_tol * abs(value))
-
-    return _refinement_loop(evaluate, tol_for, 16 * _MAX_PANELS, "hankel")
+    return _refinement_loop(evaluate, abs_tol, rel_tol, 16 * _MAX_PANELS, "hankel")
 
 
 def _theta_rule(r: float, nu: int, level: int):
@@ -176,12 +165,12 @@ def _theta_rule(r: float, nu: int, level: int):
     return tn, tw * np.cos(nu * tn)
 
 
-def eval_exp2d(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None) -> EvalResult:
+def eval_exp2d(spec: SeriesSpec, r: float, *,
+               abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """Two-dimensional exponential oscillatory-integral route; requires a < 0."""
-    cfg = cfg or QuadratureConfig()
     if spec.a >= 0.0:
         raise DomainError("eval_exp2d requires a < 0")
-    check_inputs(r, cfg.abs_tol, cfg.rel_tol)
+    check_inputs(r, abs_tol, rel_tol)
     sp = spec.canonical()
     p = FParams(-sp.a, sp.beta, sp.mu)
     prefactor = 2.0 * (1j) ** (-sp.mu) / math.pi ** 2
@@ -202,19 +191,15 @@ def eval_exp2d(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None) 
         total = complex(np.sum(w * fvals * inner)) * prefactor
         return total.real, cphi.size * tn.size, abs(total.imag)
 
-    def tol_for(value):
-        return max(cfg.abs_tol, cfg.rel_tol * abs(value))
-
-    res = _refinement_loop(evaluate, tol_for, 4096 * _MAX_PANELS, "exp2d")
-    return EvalResult(res.value, res.err_est, "exp2d", res.work)
+    return _refinement_loop(evaluate, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d")
 
 
-def eval_lifted(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None) -> EvalResult:
+def eval_lifted(spec: SeriesSpec, r: float, *,
+                abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """Lift a >= 0 to Hankel-representable exponents via the Bessel recurrence."""
-    cfg = cfg or QuadratureConfig()
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")
-    check_inputs(r, cfg.abs_tol, cfg.rel_tol)
+    check_inputs(r, abs_tol, rel_tol)
     if r == 0.0:
         raise DomainError("eval_lifted requires r > 0")
     depth = int(math.floor(spec.a)) + 3
@@ -231,7 +216,7 @@ def eval_lifted(spec: SeriesSpec, r: float, cfg: QuadratureConfig | None = None)
             v += row[0] * row[mp + 1] * (1.0 + beta) ** a
             out = (v, e, wk)
         elif a < 0.0:
-            res = eval_hankel(SeriesSpec(a, beta, m, mp), r, cfg)
+            res = eval_hankel(SeriesSpec(a, beta, m, mp), r, abs_tol=abs_tol, rel_tol=rel_tol)
             out = (res.value, res.err_est, res.work)
         else:
             n = int(math.floor(a)) + 1

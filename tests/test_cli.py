@@ -68,6 +68,15 @@ class TestEval:
         assert code == 2
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("r", ["1e-60", "5e-324"])
+    def test_tiny_r_oracle_exit_3(self, capsys, r):
+        # the Bessel row is not finite there; at the subnormal 5e-324 r/2 is
+        # 0, so the certified length must not take log(r/2)
+        code, out, err = run(capsys, "eval", "--a", "-1", "--beta", "0", "--m", "0",
+                             "--mprime", "0", "--r", r, "--method", "oracle")
+        assert code == 3
+        assert out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize("a", ["400", "1e308"])
     def test_nonfinite_oracle_exit_3(self, capsys, a):
         # (l+beta)^a overflows; at 1e308 so does the certificate's term ratio

@@ -16,7 +16,7 @@ from bnsum.direct import (
     sum_series,
 )
 from bnsum.errors import DomainError, ToleranceError
-from bnsum.kernels import bessel_rows, bessel_rows_numpy
+from bnsum.kernels import bessel_rows
 
 mpmath.mp.dps = 25
 
@@ -41,7 +41,7 @@ class TestBesselRows:
     def test_numpy_fallback_matches(self):
         rs = np.array([0.5, 4.2, 33.0])
         np.testing.assert_allclose(
-            bessel_rows(20, rs), bessel_rows_numpy(20, rs), rtol=0, atol=1e-15
+            bessel_rows(20, rs), kernels._rows_numpy(20, rs), rtol=0, atol=1e-15
         )
 
     def test_loop_kernel(self, monkeypatch):
@@ -50,7 +50,7 @@ class TestBesselRows:
         monkeypatch.setattr(kernels, "USE_NUMBA", True)
         rs = np.array([0.0, 0.3, 7.7, 80.0, 400.0])
         rows = bessel_rows(600, rs)
-        np.testing.assert_allclose(rows, bessel_rows_numpy(600, rs), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rows, kernels._rows_numpy(600, rs), rtol=0, atol=1e-15)
         for j, r in enumerate(rs):
             for n in (0, 3, 90, 600):
                 want = float(mpmath.besselj(n, float(r)))
@@ -64,7 +64,8 @@ class TestBesselRows:
         for r in rs:
             for nmax in (0, 1, 5, 600):
                 got = bessel_rows(nmax, [r])
-                assert np.array_equal(got, bessel_rows_numpy(nmax, [r]), equal_nan=True), \
+                assert np.array_equal(got, kernels._rows_numpy(nmax, np.array([r])),
+                                      equal_nan=True), \
                     (nmax, r)
 
     def test_dispatch_by_column_count(self, monkeypatch):
@@ -97,7 +98,10 @@ class TestBesselRows:
             "assert not USE_NUMBA\n"
             "print('%.17g' % bessel_rows(3, np.array([7.7]))[3, 0])\n"
         )
-        env = dict(os.environ, BNSUM_NO_NUMBA="1")
+        # import the package under test, also from an uninstalled checkout
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, BNSUM_NO_NUMBA="1", PYTHONPATH=pythonpath)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr

@@ -7,7 +7,6 @@ import pytest
 from bnsum.errors import DomainError, SingularityError
 from bnsum.fseries import (
     FParams,
-    f_alpha_zero_closed_form,
     f_eval,
     f_eval_many,
     f_eval_near_half_many,
@@ -52,6 +51,10 @@ class TestFEval:
             FParams(1.0, -1.0, 0)
         with pytest.raises(DomainError):
             FParams(1.0, 0.0, -1)
+        with pytest.raises(DomainError):
+            FParams(math.nan, 0.0, 0)
+        with pytest.raises(DomainError):
+            FParams(1.0, math.nan, 0)
         with pytest.raises(DomainError):
             f_eval(FParams(1.0, 0.0, 0), -0.2)
 
@@ -112,20 +115,3 @@ class TestSingularModel:
         with pytest.raises(DomainError):
             f_singular_model(FParams(0.5, 0.0, 0), 1.0, "above")
 
-
-class TestAlphaZeroClosedForm:
-    def test_matches_cesaro_series(self):
-        # F_{0,mu}(phi) = -cos((mu+1) phi)/(2 cos phi); compare against the
-        # Abel-regularized series sum (-1)^l cos(phi(mu+2l)) x^l as x -> 1
-        mu, phi = 2, 0.9
-        want = f_alpha_zero_closed_form(mu, phi)
-        x = 0.999999
-        # Abel sum via closed form of the geometric series instead of brute force:
-        # sum (-1)^l x^l e^{i phi(mu+2l)} = -e^{i phi(mu+2)} x / (1 + x e^{2 i phi})
-        got = (-np.exp(1j * phi * (mu + 2)) * x / (1.0 + x * np.exp(2j * phi))).real
-        assert got == pytest.approx(want, abs=1e-5)
-
-    def test_singularity(self):
-        import pytest as _pt
-        with _pt.raises(SingularityError):
-            f_alpha_zero_closed_form(0, HALF_PI)

@@ -5,7 +5,7 @@ import pytest
 
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import DomainError
-from bnsum.quadrature import QuadratureConfig, eval_exp2d, eval_hankel, eval_lifted
+from bnsum.quadrature import eval_exp2d, eval_hankel, eval_lifted
 
 
 def oracle(a, beta, m, mp, r):
@@ -15,7 +15,9 @@ def oracle(a, beta, m, mp, r):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
-            QuadratureConfig(abs_tol=0.0)
+            eval_hankel(SeriesSpec(-1.5, 0.5, 1, 0), 5.0, abs_tol=0.0)
+        with pytest.raises(DomainError):
+            eval_hankel(SeriesSpec(-1.5, 0.5, 1, 0), 5.0, rel_tol=math.nan)
 
 
 class TestHankel:
