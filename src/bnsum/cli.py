@@ -9,7 +9,8 @@ Subcommands:
 ``--a`` is the signed weight exponent of (l+beta)^a; the integral
 representations require a < 0 and internally work with alpha = -a.
 
-Exit codes: 0 ok, 1 validation fail, 2 usage, 3 numeric, 4 I/O.
+Exit codes: 0 ok, 1 validation fail, 2 usage, 3 numeric or out of memory,
+4 I/O.
 """
 from __future__ import annotations
 
@@ -234,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_validate(args)
     except (ConvergenceError, ToleranceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: out of memory in bnsum {args.command}", file=sys.stderr)
         return 3
     except (DomainError, BnsumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,8 @@
 ``J_0(r)..J_nmax(r)`` per column.  The recurrence runs downward from a start
 order safely above the turning point ``l ~ r`` (upward recurrence is unstable
 for order > argument) and is normalized with ``J_0 + 2*sum_k J_{2k} = 1``.
+For ``0 < r < _TINY_R`` the recurrence overflows, and the column is the
+leading term ``(r/2)^n / n!`` of the power series instead.
 
 Two implementations are provided: a per-argument loop, ``_rows_kernel``, and
 a numpy kernel vectorized across arguments, ``_rows_numpy``.  With numba the
@@ -26,6 +28,9 @@ _INV_RESCALE = 1e-250
 # nmax 150 takes 1.36 vs 0.62 ms at 4 columns, 1.36 vs 1.29 at 8 and
 # 1.33 vs 2.38 at 16; nmax 600 takes 3.9 vs 2.8 ms at 4 and 4.7 vs 5.2 at 8.
 _LOOP_MAX_COLUMNS = 4
+# Below this the step (2l/r)*jc overflows before a rescale can act (from
+# r ~ 1e-57 on); the power series' next term is smaller by (r/2)^2 < 1e-100.
+_TINY_R = 1e-50
 
 
 def _start_order(nmax: int, rs: np.ndarray) -> np.ndarray:
@@ -49,6 +54,13 @@ def _rows_kernel(nmax, rs, starts, out):  # pragma: no cover - exercised via wra
             out[0, j] = 1.0
             for l in range(1, nmax + 1):
                 out[l, j] = 0.0
+            continue
+        if r < _TINY_R:  # (r/2)^n / n!, built as in _rows_numpy
+            term = 1.0
+            out[0, j] = term
+            for l in range(1, nmax + 1):
+                term = term * (0.5 * r) / l
+                out[l, j] = term
             continue
         m = starts[j]
         jp = 0.0
@@ -87,7 +99,8 @@ def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
     n = rs.shape[0]
     out = np.zeros((nmax + 1, n))
     zero = rs == 0.0
-    safe_r = np.where(zero, 1.0, rs)
+    tiny = (rs > 0.0) & (rs < _TINY_R)
+    safe_r = np.where(zero | tiny, 1.0, rs)
     m = max(int(_start_order(nmax, rs).max(initial=0)), nmax + 1)
     jp = np.zeros(n)
     jc = np.full(n, 1e-300)
@@ -116,6 +129,13 @@ def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
     if zero.any():
         out[:, zero] = 0.0
         out[0, zero] = 1.0
+    if tiny.any():
+        half = 0.5 * rs[tiny]
+        term = np.ones(half.size)
+        out[0, tiny] = term
+        for l in range(1, nmax + 1):
+            term = term * half / l
+            out[l, tiny] = term
     return out
 
 

@@ -4,7 +4,7 @@ Gamma, digamma, Hurwitz zeta (Euler-Maclaurin continuation), the Lerch
 transcendent on the unit circle, its value at -1, integer-order Bessel J
 columns and extended harmonic numbers.  Everything here is pure and
 reentrant; the Bernoulli/Gauss tables are built at import time and never
-mutated.
+mutated, and the per-(alpha, v) Lerch tables are cached read-only.
 """
 from __future__ import annotations
 
@@ -193,6 +193,36 @@ def _lerch_integral_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray
     return amp @ (1.0 / denom)
 
 
+# Away from phi = pi/2 (mod pi), Phi(-e^{2 i phi}, alpha, v) is analytic in
+# phi with period pi.  Folded onto |phi| <= _FAR_EDGE, it is interpolated once
+# per (alpha, v) in Chebyshev polynomials of phi / _FAR_EDGE from the
+# quadrature at the first-kind points; every far angle is then a Clenshaw sum.
+_FAR_EDGE = math.pi / 2.0 - _NEAR_HALF_PI / 2.0
+# Over alpha in {0.05, 0.15, 0.5, 1, 1.5, 2, 3} and v in {0.01, 0.1, 0.5, 1,
+# 2, 3}, the last 8 of 64 coefficients reach 7e-13 of the largest (alpha =
+# 0.05); at 128 points they sit at the quadrature's rounding floor (3e-15 to
+# 5e-15), and the worst deviation from the quadrature over 500 seeded far
+# angles is 2.7e-14 of max|Phi|.
+_CHEB_POINTS = 128
+_CHEB_ANGLES = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+# c_j = (2/N) sum_k f(cos theta_k) cos(j theta_k), with c_0 halved.  numpy's
+# chebinterpolate forms cos(j theta_k) by the three-term recurrence instead,
+# which put F 3e-13 of max|F| off the quadrature (benchmarks/bench_lerch.py).
+_CHEB_TRANSFORM = (2.0 / _CHEB_POINTS) * np.cos(
+    np.outer(np.arange(_CHEB_POINTS), _CHEB_ANGLES))
+_CHEB_TRANSFORM[0] *= 0.5
+_CHEB_TRANSFORM.flags.writeable = False
+
+
+@lru_cache(maxsize=512)
+def _far_coeffs(alpha: float, v: float) -> np.ndarray:
+    """Chebyshev coefficients of Phi(-e^{2 i phi}, alpha, v) in phi/_FAR_EDGE."""
+    coeffs = _CHEB_TRANSFORM @ _lerch_integral_many(
+        _FAR_EDGE * np.cos(_CHEB_ANGLES), alpha, v)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 _LOCAL_TERMS = 48
 
 
@@ -241,12 +271,15 @@ def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
 
 
 def lerch_unit_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
-    """Vectorized Phi(-e^{2 i phi}, alpha, v) over an array of angles."""
+    """Vectorized Phi(-e^{2 i phi}, alpha, v) over an array of angles in [0, pi]."""
     phis = np.asarray(phis, dtype=np.float64)
     out = np.empty(phis.shape, dtype=np.complex128)
     near = np.abs(2.0 * phis - math.pi) < _NEAR_HALF_PI
     if (~near).any():
-        out[~near] = _lerch_integral_many(phis[~near], alpha, v)
+        far = phis[~near]
+        far = far - math.pi * np.round(far / math.pi)  # period pi; exact (Sterbenz)
+        out[~near] = np.polynomial.chebyshev.chebval(far / _FAR_EDGE,
+                                                     _far_coeffs(alpha, v))
     if near.any():
         out[near] = lerch_local_many(2.0 * phis[near] - math.pi, alpha, v)
     return out

@@ -68,14 +68,24 @@ class TestEval:
         assert code == 2
         assert out == "" and "finite" in err
 
-    @pytest.mark.parametrize("r", ["1e-60", "5e-324"])
-    def test_tiny_r_oracle_exit_3(self, capsys, r):
-        # the Bessel row is not finite there; at the subnormal 5e-324 r/2 is
-        # 0, so the certified length must not take log(r/2)
-        code, out, err = run(capsys, "eval", "--a", "-1", "--beta", "0", "--m", "0",
-                             "--mprime", "0", "--r", r, "--method", "oracle")
+    @pytest.mark.parametrize("r, want", [("1e-60", 2.5e-121), ("5e-324", 0.0)])
+    def test_tiny_r_oracle_value(self, capsys, r, want):
+        # the sum is J_1(r)^2 = (r/2)^2 to 1e-100 relative; at the subnormal
+        # 5e-324, r/2 rounds to 0 and the certified length must not take log(r/2)
+        code, out, _ = run(capsys, "eval", "--a", "-1", "--beta", "0", "--m", "0",
+                           "--mprime", "0", "--r", r, "--method", "oracle")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("bnsum.cli.eval_hankel", exhausted)
+        code, out, err = run(capsys, "eval", "--a", "-0.5", "--beta", "0", "--m", "0",
+                             "--mprime", "0", "--r", "5", "--method", "hankel")
         assert code == 3
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error: out of memory")
 
     @pytest.mark.parametrize("a", ["400", "1e308"])
     def test_nonfinite_oracle_exit_3(self, capsys, a):

@@ -88,6 +88,23 @@ class TestBesselRows:
         assert row[0] == 1.0
         assert np.all(row[1:] == 0.0)
 
+    def test_tiny_r_leading_term(self, monkeypatch):
+        # below 1e-50 the recurrence overflows; J_n(r) = (r/2)^n / n! to
+        # 1e-100 relative, down to 0 where that underflows
+        monkeypatch.setattr(kernels, "USE_NUMBA", True)
+        rs = np.array([1e-51, 1e-60, 1e-100, 1e-300, 5e-324])
+        for nmax in (0, 1, 5, 40):
+            rows = bessel_rows(nmax, rs)  # the loop kernel on every column
+            assert np.array_equal(rows, kernels._rows_numpy(nmax, rs))
+            for j, r in enumerate(rs):
+                assert np.array_equal(rows[:, j], kernels._rows_numpy(nmax, rs[j:j + 1])[:, 0])
+                half = mpmath.mpf(float(r)) / 2
+                for n in range(nmax + 1):
+                    lead = float(half ** n / mpmath.factorial(n))
+                    want = float(mpmath.besselj(n, mpmath.mpf(float(r))))
+                    assert lead == want
+                    assert rows[n, j] == pytest.approx(want, rel=1e-15, abs=1e-320), (n, r)
+
     def test_no_numba_env_flag(self):
         # BNSUM_NO_NUMBA turns numba off: this one-column call runs the
         # plain-Python loop and agrees with mpmath

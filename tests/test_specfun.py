@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bnsum import specfun
 from bnsum.errors import DomainError, PoleError, SingularityError
 from bnsum.specfun import (
     EULER_GAMMA,
@@ -137,6 +138,18 @@ class TestLerchUnit:
                 z = -mpmath.exp(2j * mpmath.mpf(float(phi)))
                 want = complex(mpmath.lerchphi(z, alpha, v))
                 assert abs(complex(lval) - want) < 1e-9 * max(1.0, abs(want))
+
+    def test_far_interpolant_matches_integral(self):
+        # the cached Chebyshev expansion against the quadrature it is built from
+        rng = np.random.default_rng(11)
+        phis = rng.uniform(0.0, math.pi, 800)
+        phis = phis[np.abs(2.0 * phis - math.pi) >= specfun._NEAR_HALF_PI][:500]
+        assert phis.size == 500
+        for alpha in (0.05, 0.15, 0.5, 1.0, 1.5, 2.0, 3.0):
+            for v in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0):
+                want = specfun._lerch_integral_many(phis, alpha, v)
+                got = lerch_unit_many(phis, alpha, v)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, v)
 
     def test_vectorized_matches_scalar(self):
         phis = np.linspace(0.1, 3.0, 17)
