@@ -28,7 +28,12 @@ if not USE_NUMBA:
 
 
 def thread_cap() -> int:
-    """Thread cap for the rows of ``bnsum sweep``, from BNSUM_THREADS."""
+    """CPU cap read from BNSUM_THREADS (default: CPU count).
+
+    No bnsum code reads it: ``bnsum sweep`` evaluates its rows serially.  It
+    stays only because ``perfbench/run.py`` reports it as ``bnsum_threads`` in
+    its environment block, and goes when a benchmark change removes that field.
+    """
     raw = os.environ.get("BNSUM_THREADS", "")
     try:
         n = int(raw)

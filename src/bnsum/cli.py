@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .asymptotics import (
     AsymptoticForm,
@@ -28,7 +27,6 @@ from .asymptotics import (
     leading_noninteger,
     leading_nonneg,
 )
-from .backend import thread_cap
 from .direct import EvalResult, SeriesSpec, check_inputs, sum_series
 from .errors import BnsumError, ConvergenceError, DomainError, ToleranceError
 from .harness import SUITES, run_suite
@@ -158,9 +156,7 @@ def _cmd_sweep(args) -> int:
         step = (args.r_end - args.r_start) / max(1, args.points - 1)
         rs = [args.r_start + step * k for k in range(args.points)]
 
-    workers = min(thread_cap(), max(1, len(rs)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda r: _sweep_row(spec, r, methods), rs))
+    rows = [_sweep_row(spec, r, methods) for r in rs]
 
     def cell(row, key):
         return _fmt(row[key]) if key in row else ""

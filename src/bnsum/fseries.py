@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .specfun import gamma, lerch_local_many, lerch_unit_many
+from .specfun import lerch_local_many, lerch_unit_many
 
 HALF_PI = math.pi / 2.0
 
@@ -61,45 +61,3 @@ def f_eval_near_half_many(p: FParams, eps: np.ndarray, side: int = 1) -> np.ndar
     lam = lerch_local_many(-2.0 * side * eps, p.alpha, p.beta + 1.0)
     phase = np.exp(1j * (HALF_PI - side * eps) * (p.mu + 2))
     return np.real(-phase * lam)
-
-
-def f_eval(p: FParams, phi: float, return_imag_residual: bool = False):
-    """F_{alpha,beta,mu}(phi); optionally also the symmetrized-form imaginary residue.
-
-    The symmetrized definition averages the phi and -phi Lerch branches; its
-    imaginary part is an algebraic zero and serves as a numerical diagnostic.
-    """
-    if not (0.0 <= phi <= math.pi):
-        raise DomainError("phi must lie in [0, pi]")
-    value = float(f_eval_many(p, np.array([phi]))[0])
-    if not return_imag_residual:
-        return value
-    lam_pos = lerch_unit_many(np.array([phi]), p.alpha, p.beta + 1.0)[0]
-    lam_neg = lerch_unit_many(np.array([math.pi - phi]), p.alpha, p.beta + 1.0)[0]
-    # Phi(-e^{-2 i phi}) = Phi(-e^{2 i (pi - phi)}): both branches evaluated
-    # independently, so conjugate symmetry is genuinely tested.
-    sym = -0.5 * np.exp(-1j * phi * (p.mu + 2)) * (
-        np.exp(2j * phi * (p.mu + 2)) * lam_pos + lam_neg
-    )
-    return value, abs(sym.imag)
-
-
-def f_singular_model(p: FParams, phi: float, side: str) -> float:
-    """Leading local model of F near phi = pi/2 for 0 < alpha < 1."""
-    if not (0.0 < p.alpha < 1.0):
-        raise DomainError("singular model holds for 0 < alpha < 1")
-    if side not in ("below", "above"):
-        raise DomainError("side must be 'below' or 'above'")
-    g = gamma(1.0 - p.alpha)
-    if side == "below":
-        if not phi < HALF_PI:
-            raise DomainError("side='below' requires phi < pi/2")
-        return 0.5 * g * (-((math.pi - 2.0 * phi) ** (p.alpha - 1.0))) * (
-            -2.0 * math.sin(0.5 * math.pi * (p.mu + p.alpha))
-        )
-    if not phi > HALF_PI:
-        raise DomainError("side='above' requires phi > pi/2")
-    return 0.5 * g * (2.0 * phi - math.pi) ** (p.alpha - 1.0) * (
-        -2.0 * math.sin(0.5 * math.pi * (p.mu - p.alpha))
-    )
-

@@ -37,11 +37,20 @@ ABS_TOL = 1e-9
 REL_TOL = 1e-7
 
 
-def _refine(edges: np.ndarray, times: int) -> np.ndarray:
-    for _ in range(times):
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate((edges, mids)))
-    return edges
+def _split(edges: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """Cut panel i of ``edges`` into ``pieces[i]`` equal panels."""
+    starts = np.repeat(edges[:-1], pieces)
+    steps = np.repeat(np.diff(edges) / pieces, pieces)
+    offsets = np.arange(starts.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.append(starts + offsets * steps, edges[-1])
+
+
+def _pieces(widths: np.ndarray, r: float, level: int, least: int = 1) -> np.ndarray:
+    """Panels per interval at refinement ``level``: enough that none is wider
+    than pi^2 / (2 r), about 1.6 periods of J_nu(2 r cos phi), doubled once
+    per level."""
+    cap = HALF_PI / max(1.0, r / math.pi) * (4.0 / _PANELS_PER_PERIOD)
+    return np.maximum(least, np.ceil(widths / cap)).astype(np.int64) << level
 
 
 def _bessel_signed(order: int, args: np.ndarray) -> np.ndarray:
@@ -52,15 +61,6 @@ def _bessel_signed(order: int, args: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _split_to_cap(edges: np.ndarray, cap: float) -> np.ndarray:
-    """Uniformly subdivide any interval wider than ``cap``."""
-    pieces = [edges[:1]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        k = max(1, int(math.ceil((hi - lo) / cap)))
-        pieces.append(np.linspace(lo, hi, k + 1)[1:])
-    return np.concatenate(pieces)
-
-
 def _half_mesh(r: float, alpha: float, level: int):
     """Quadrature rule for [0, pi/2) split at pi/2 - 0.4.
 
@@ -69,26 +69,23 @@ def _half_mesh(r: float, alpha: float, level: int):
     so that nodes arbitrarily close to pi/2 never round onto it.  The eps
     weights absorb the substitution jacobian.
     """
-    width_cap = HALF_PI / max(1.0, r / math.pi) * (4.0 / _PANELS_PER_PERIOD)
-    smooth_end = HALF_PI - _SING_WIDTH
-    n_smooth = max(4, int(math.ceil(smooth_end / width_cap)))
-    smooth_edges = _refine(np.linspace(0.0, smooth_end, n_smooth + 1), level)
-    nodes, weights = _panel_nodes(smooth_edges)
+    smooth = np.array([0.0, HALF_PI - _SING_WIDTH])
+    nodes, weights = _panel_nodes(_split(smooth, _pieces(np.diff(smooth), r, level, 4)))
     if alpha < 1.0:
-        # eps = u^{1/alpha} flattens the eps^{alpha-1} blow-up of F.
+        # eps = u^{1/alpha} flattens the eps^{alpha-1} blow-up of F; the u
+        # panels are split by their width in eps, where J_nu oscillates.
         u_top = _SING_WIDTH ** alpha
         u_edges = np.concatenate(
             ([0.0], u_top * 3.0 ** (-np.arange(30, -1, -1, dtype=float)))
         )
-        u_edges = _refine(u_edges, level)
-        un, uw = _panel_nodes(u_edges)
+        eps_widths = np.diff(u_edges ** (1.0 / alpha))
+        un, uw = _panel_nodes(_split(u_edges, _pieces(eps_widths, r, level)))
         eps_nodes = un ** (1.0 / alpha)
         eps_weights = uw * (1.0 / alpha) * un ** (1.0 / alpha - 1.0)
     else:
         depth = int(math.ceil(46.0 * math.log(2.0) / math.log(_GRADING)))
         eps_edges = _SING_WIDTH * _GRADING ** (-np.arange(depth, -1, -1, dtype=float))
-        eps_edges = _split_to_cap(eps_edges, width_cap)
-        eps_edges = _refine(eps_edges, level)
+        eps_edges = _split(eps_edges, _pieces(np.diff(eps_edges), r, level))
         eps_nodes, eps_weights = _panel_nodes(eps_edges)
     return nodes, weights, eps_nodes, eps_weights
 
@@ -117,7 +114,7 @@ def _hankel_full(p: FParams, nu: int, r: float, level: int):
     return total, 2 * (nodes.size + eps.size)
 
 
-def _refinement_loop(evaluate, abs_tol: float, rel_tol: float, max_nodes: int,
+def _converge(evaluate, abs_tol: float, rel_tol: float, max_nodes: int,
                      tag: str) -> EvalResult:
     prev = None
     work = 0
@@ -154,14 +151,12 @@ def eval_hankel(spec: SeriesSpec, r: float, *, use_parity: bool = True,
             raw, n = _hankel_full(p, sp.nu, r, level)
         return sign / math.pi * raw, n, 0.0
 
-    return _refinement_loop(evaluate, abs_tol, rel_tol, 16 * _MAX_PANELS, "hankel")
+    return _converge(evaluate, abs_tol, rel_tol, 16 * _MAX_PANELS, "hankel")
 
 
 def _theta_rule(r: float, nu: int, level: int):
-    width_cap = HALF_PI / max(1.0, r / math.pi) * (4.0 / _PANELS_PER_PERIOD)
-    n = max(4, int(math.ceil(HALF_PI / width_cap)))
-    edges = _refine(np.linspace(0.0, HALF_PI, n + 1), level)
-    tn, tw = _panel_nodes(edges)
+    edges = np.array([0.0, HALF_PI])
+    tn, tw = _panel_nodes(_split(edges, _pieces(np.diff(edges), r, level, 4)))
     return tn, tw * np.cos(nu * tn)
 
 
@@ -191,7 +186,7 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
         total = complex(np.sum(w * fvals * inner)) * prefactor
         return total.real, cphi.size * tn.size, abs(total.imag)
 
-    return _refinement_loop(evaluate, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d")
+    return _converge(evaluate, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d")
 
 
 def eval_lifted(spec: SeriesSpec, r: float, *,
@@ -241,4 +236,4 @@ def eval_lifted(spec: SeriesSpec, r: float, *,
         return out
 
     value, err, work = S(spec.a, spec.beta, spec.m, spec.m_prime)
-    return EvalResult(value, err, "lifted", work)
+    return EvalResult(float(value), err, "lifted", work)  # Bessel row terms are numpy scalars

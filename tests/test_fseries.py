@@ -5,15 +5,51 @@ import numpy as np
 import pytest
 
 from bnsum.errors import DomainError, SingularityError
-from bnsum.fseries import (
-    FParams,
-    f_eval,
-    f_eval_many,
-    f_eval_near_half_many,
-    f_singular_model,
-)
+from bnsum.fseries import FParams, f_eval_many, f_eval_near_half_many
+from bnsum.specfun import gamma, lerch_unit_many
 
 HALF_PI = math.pi / 2.0
+
+
+def f_eval(p: FParams, phi: float, return_imag_residual: bool = False):
+    """F_{alpha,beta,mu}(phi); optionally also the symmetrized-form imaginary residue.
+
+    The symmetrized definition averages the phi and -phi Lerch branches; its
+    imaginary part is an algebraic zero and serves as a numerical diagnostic.
+    """
+    if not (0.0 <= phi <= math.pi):
+        raise DomainError("phi must lie in [0, pi]")
+    value = float(f_eval_many(p, np.array([phi]))[0])
+    if not return_imag_residual:
+        return value
+    lam_pos = lerch_unit_many(np.array([phi]), p.alpha, p.beta + 1.0)[0]
+    lam_neg = lerch_unit_many(np.array([math.pi - phi]), p.alpha, p.beta + 1.0)[0]
+    # Phi(-e^{-2 i phi}) = Phi(-e^{2 i (pi - phi)}): both branches evaluated
+    # independently, so conjugate symmetry is genuinely tested.
+    sym = -0.5 * np.exp(-1j * phi * (p.mu + 2)) * (
+        np.exp(2j * phi * (p.mu + 2)) * lam_pos + lam_neg
+    )
+    return value, abs(sym.imag)
+
+
+def f_singular_model(p: FParams, phi: float, side: str) -> float:
+    """Leading local model of F near phi = pi/2 for 0 < alpha < 1."""
+    if not (0.0 < p.alpha < 1.0):
+        raise DomainError("singular model holds for 0 < alpha < 1")
+    if side not in ("below", "above"):
+        raise DomainError("side must be 'below' or 'above'")
+    g = gamma(1.0 - p.alpha)
+    if side == "below":
+        if not phi < HALF_PI:
+            raise DomainError("side='below' requires phi < pi/2")
+        return 0.5 * g * (-((math.pi - 2.0 * phi) ** (p.alpha - 1.0))) * (
+            -2.0 * math.sin(0.5 * math.pi * (p.mu + p.alpha))
+        )
+    if not phi > HALF_PI:
+        raise DomainError("side='above' requires phi > pi/2")
+    return 0.5 * g * (2.0 * phi - math.pi) ** (p.alpha - 1.0) * (
+        -2.0 * math.sin(0.5 * math.pi * (p.mu - p.alpha))
+    )
 
 
 def brute_force_f(alpha, beta, mu, phi, terms=2_000_000):
