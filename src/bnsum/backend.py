@@ -28,12 +28,10 @@ if not USE_NUMBA:
 
 
 def thread_cap() -> int:
-    """CPU cap read from BNSUM_THREADS (default: CPU count).
+    """CPU cap from BNSUM_THREADS (default: CPU count); no bnsum code reads it.
 
-    No bnsum code reads it: ``bnsum sweep`` evaluates its rows serially.  It
-    stays only because ``perfbench/run.py`` reports it as ``bnsum_threads`` in
-    its environment block, and goes when a benchmark change removes that field.
-    """
+    Kept only for the ``bnsum_threads`` field of ``perfbench/run.py``'s
+    environment block; it goes when a benchmark change removes that field."""
     raw = os.environ.get("BNSUM_THREADS", "")
     try:
         n = int(raw)

@@ -38,19 +38,17 @@ class TestHankel:
     @pytest.mark.parametrize("case", [
         (-0.5, 0.0, 1, 0, 400.0),
         (-0.3, 0.2, 3, 2, 200.0),
+        (-0.5, 0.0, 1, 0, 1000.0),
     ])
     def test_singular_panels_capped(self, case):
         # alpha < 1: the u panels of eps = u^(1/alpha) are split by their eps
         # width like every other panel, so the work stays linear in r (an
-        # uncapped mesh takes 127,008 and 79,632 nodes here)
+        # uncapped mesh takes 127,008 and 79,632 nodes on the first two cases
+        # and does not converge on the third)
         a, b, m, mp, r = case
         res = eval_hankel(SeriesSpec(a, b, m, mp), r)
         assert res.value == pytest.approx(oracle(a, b, m, mp, r), abs=1e-8)
         assert res.work < 20_000
-
-    def test_converges_at_r_1000(self):
-        res = eval_hankel(SeriesSpec(-0.5, 0.0, 1, 0), 1000.0)
-        assert res.value == pytest.approx(oracle(-0.5, 0.0, 1, 0, 1000.0), abs=1e-8)
 
     def test_r_zero(self):
         res = eval_hankel(SeriesSpec(-1.5, 0.5, 1, 0), 0.0)
