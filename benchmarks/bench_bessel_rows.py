@@ -1,19 +1,29 @@
-"""Benchmark the Bessel-row kernel against the numpy kernel ``_rows_numpy``.
+"""Benchmark the Bessel-row kernel against the numpy kernel ``_rows_numpy``,
+and the quadrature's Bessel column ``bessel_j_col``.
 
 The many-argument cases time ``bessel_rows`` only when numba is active (it
 runs the numpy kernel otherwise).  The one-argument case, 400 calls of one
 argument each at nmax 600, always does: ``bessel_rows`` runs the loop
 kernel there, compiled with numba and plain Python without.
 
+The column cases take the arguments of ``eval_hankel``'s level-0 mesh,
+``2 r cos(phi)`` and ``2 r sin(eps)`` from ``quadrature._half_mesh`` at
+a = -0.5, for r in {100, 1000} and nu in {0, 3}.  Each prints the time of
+the two ``bessel_j_col`` calls and the largest |error| against mpmath on 50
+seeded arguments of them.
+
 Usage: python benchmarks/bench_bessel_rows.py [repeats]
 """
 import sys
 import time
 
+import mpmath
 import numpy as np
 
 from bnsum.backend import USE_NUMBA
 from bnsum.kernels import _rows_numpy, bessel_rows
+from bnsum.quadrature import _half_mesh
+from bnsum.specfun import bessel_j_col
 
 
 def timeit(fn, *args, repeats=5):
@@ -65,6 +75,19 @@ def main():
     for r in one_arg:
         assert np.array_equal(bessel_rows(ONE_ARG_NMAX, [r]),
                               _rows_numpy(ONE_ARG_NMAX, np.array([r]))), "backends disagree"
+
+    mpmath.mp.dps = 30
+    print(f"{'bessel_j_col on the mesh':28s} {'args':>7s} {'time':>10s} {'max |err|':>10s}")
+    for r in (100.0, 1000.0):
+        nodes, _, eps, _ = _half_mesh(r, 0.5, 0)
+        cols = (2.0 * r * np.cos(nodes), 2.0 * r * np.sin(eps))
+        for nu in (0, 3):
+            t_col = sum(timeit(bessel_j_col, nu, x, repeats=repeats) for x in cols)
+            xs = np.concatenate(cols)
+            sample = rng.choice(xs, 50, replace=False)
+            want = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(x)))) for x in sample])
+            err = np.max(np.abs(bessel_j_col(nu, sample) - want))
+            print(f"{f'r={r:g} nu={nu}':28s} {xs.size:7d} {t_col * 1e3:8.2f}ms {err:10.1e}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ transcendent on the unit circle, its value at -1, integer-order Bessel J
 columns and extended harmonic numbers.  Everything here is pure and
 reentrant; the Bernoulli/Gauss tables are built at import time and never
 mutated, and the per-(alpha, v) Lerch tables are cached read-only.
+
+A Bessel column ``bessel_j_col(nu, x)`` has two regimes: Hankel's
+large-argument expansion (DLMF 10.17.3) from ``kernels.hankel_x0(nu) =
+max(25, 2 nu^2)`` on, where its first neglected term is below 1e-17, and the
+backward recurrence of ``kernels.bessel_rows`` below that.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularityError
-from .kernels import bessel_rows
+from .kernels import bessel_j_large, bessel_rows, hankel_x0
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -329,8 +334,16 @@ def _wynn_epsilon(seq: np.ndarray) -> complex:
 
 
 def bessel_j_col(order: int, args: np.ndarray) -> np.ndarray:
-    """J_order at every (non-negative) argument of ``args``."""
+    """J_order at every (non-negative) argument of ``args``.
+
+    Arguments from ``hankel_x0(order)`` on take Hankel's expansion; only the
+    others run the recurrence, which then starts near x0.
+    """
     if order < 0:
         raise DomainError("order must be >= 0")
     args = np.asarray(args, dtype=np.float64)
-    return bessel_rows(order, args)[order]
+    large = args >= hankel_x0(order)
+    out = np.empty(args.shape)
+    out[large] = bessel_j_large(order, args[large])
+    out[~large] = bessel_rows(order, args[~large])[order]
+    return out

@@ -28,6 +28,7 @@ class TestHankel:
         (-1.0, 0.0, 2, 1, 30.0),
         (-2.5, 1.0, 0, 0, 1.0),
         (-0.3, 0.2, 3, 2, 20.0),
+        (-1.5, 0.5, 5, 2, 1000.0),  # nu = 3: most nodes take Hankel's expansion
     ])
     def test_oracle_equivalence(self, case):
         a, b, m, mp, r = case

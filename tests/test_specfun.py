@@ -7,8 +7,10 @@ import pytest
 
 from bnsum import specfun
 from bnsum.errors import DomainError, PoleError, SingularityError
+from bnsum.kernels import bessel_rows, hankel_x0
 from bnsum.specfun import (
     EULER_GAMMA,
+    bessel_j_col,
     digamma,
     gamma,
     harmonic_extended,
@@ -158,3 +160,23 @@ class TestLerchUnit:
             assert complex(val) == pytest.approx(
                 lerch_unit(float(phi), 1.3, 1.1), rel=1e-12
             )
+
+
+class TestBesselJCol:
+    def test_against_mpmath(self):
+        # both regimes: just below hankel_x0 (recurrence), at it and above it
+        # (Hankel's expansion), and 40 seeded points up to 2,000
+        rng = np.random.default_rng(7)
+        for nu in range(10):
+            x0 = hankel_x0(nu)
+            xs = np.concatenate((x0 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
+                                 rng.uniform(x0, 2000.0, 40)))
+            got = bessel_j_col(nu, xs)
+            want = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(x)))) for x in xs])
+            assert np.max(np.abs(got - want)) <= 2e-15, nu
+
+    def test_below_x0_is_the_recurrence_row(self):
+        rng = np.random.default_rng(8)
+        for nu in (0, 1, 3, 9):
+            xs = np.concatenate(([0.0, 1e-60], rng.uniform(0.0, hankel_x0(nu), 30)))
+            assert np.array_equal(bessel_j_col(nu, xs), bessel_rows(nu, xs)[nu]), nu
