@@ -4,14 +4,19 @@ Prints the work (quadrature nodes summed over the refinement levels) and the
 warm time of ``eval_hankel`` at r in {5, 30, 100, 200, 400, 1000} for three
 specs, ``a`` = -0.5, -0.3 (both with the ``alpha < 1`` singular amplitude) and
 -1.5.  Warm means the cached Lerch expansion of ``F`` is already built: one
-untimed call precedes the best of the timed ones.  Before that it times one
-``eval_exp2d`` at a = -0.5 for r = 90 and then r = 200, and prints the
+untimed call precedes the best of the timed ones.  Before that it times
+``eval_exp2d`` warm at a = -0.5 for r = 90 and then r = 200, and prints the
 process's peak resident set (``ru_maxrss``) after each.  The exp2d cases run
 first, so each peak is that of the import and the exp2d calls so far.
 
+Then, for the same three specs on a 10-row grid with r in [1, 100], it times
+a loop of ``eval_hankel`` calls against one ``eval_hankel_grid`` call (warm,
+best of ``repeats`` each).
+
 Exits 1 if a Hankel value differs from the oracle (``sum_series`` at tol
-1e-13) by more than 1e-8, or if it does not converge; and if an exp2d value
-differs by more than 1e-7.
+1e-13) by more than 1e-8, or if it does not converge; if an exp2d value
+differs by more than 1e-7; and if a grid row's work differs from
+``eval_hankel``'s or its value by more than 1e-13 relative.
 
 Usage: python benchmarks/bench_hankel.py [repeats]
 """
@@ -27,16 +32,28 @@ import numpy as np
 from bnsum.backend import USE_NUMBA
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError
-from bnsum.quadrature import eval_exp2d, eval_hankel
+from bnsum.quadrature import eval_exp2d, eval_hankel, eval_hankel_grid
 
 RS = (5.0, 30.0, 100.0, 200.0, 400.0, 1000.0)
 SPECS = (SeriesSpec(-0.5, 0.0, 1, 0), SeriesSpec(-0.3, 0.2, 3, 2), SeriesSpec(-1.5, 0.5, 1, 0))
 HANKEL_TOL = 1e-8
 EXP2D_SPEC, EXP2D_RS, EXP2D_TOL = SeriesSpec(-0.5, 0.0, 0, 0), (90.0, 200.0), 1e-7
+GRID_RS, GRID_TOL = tuple(np.linspace(1.0, 100.0, 10)), 1e-13
 
 
 def oracle(spec: SeriesSpec, r: float) -> float:
     return sum_series(spec, r, tol=1e-13).value
+
+
+def best_time(fn, repeats: int):
+    """(first result, best time of ``repeats`` calls after an untimed one)."""
+    result = fn()
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return result, best
 
 
 def main() -> int:
@@ -46,13 +63,11 @@ def main() -> int:
     failed = False
 
     for r in EXP2D_RS:
-        t0 = time.perf_counter()
-        res = eval_exp2d(EXP2D_SPEC, r)
-        t_exp2d = time.perf_counter() - t0
+        res, t_exp2d = best_time(lambda: eval_exp2d(EXP2D_SPEC, r), repeats)
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         dev = abs(res.value - oracle(EXP2D_SPEC, r))
         failed |= not dev <= EXP2D_TOL
-        print(f"exp2d a={EXP2D_SPEC.a} r={r:g}: work {res.work}, {t_exp2d * 1e3:.0f} ms, "
+        print(f"exp2d a={EXP2D_SPEC.a} r={r:g}: work {res.work}, warm {t_exp2d * 1e3:.0f} ms, "
               f"peak RSS {peak_mb:.0f} MB, |exp2d - oracle| {dev:.1e}")
 
     print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'r':>6s} {'work':>7s} "
@@ -61,22 +76,31 @@ def main() -> int:
         for r in RS:
             head = f"{spec.a:5.1f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} {r:6g}"
             try:
-                res = eval_hankel(spec, r)
+                res, best = best_time(lambda: eval_hankel(spec, r), repeats)
             except ConvergenceError as exc:
                 failed = True
                 print(f"{head} FAIL: {exc}")
                 continue
-            best = math.inf
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                eval_hankel(spec, r)
-                best = min(best, time.perf_counter() - t0)
             dev = abs(res.value - oracle(spec, r))
             failed |= not dev <= HANKEL_TOL
             print(f"{head} {res.work:7d} {best * 1e3:7.1f}ms {dev:18.1e}")
+
+    print(f"grid of {len(GRID_RS)} r in [{GRID_RS[0]:g}, {GRID_RS[-1]:g}], warm:")
+    print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'work':>7s} {'loop':>9s} "
+          f"{'grid':>9s} {'max rel diff':>13s}")
+    for spec in SPECS:
+        rows, t_loop = best_time(lambda: [eval_hankel(spec, r) for r in GRID_RS], repeats)
+        grid, t_grid = best_time(lambda: eval_hankel_grid(spec, GRID_RS), repeats)
+        same_work = all(g is not None and g.work == h.work for g, h in zip(grid, rows))
+        rel = max(abs(g.value - h.value) / abs(h.value) if g is not None else math.inf
+                  for g, h in zip(grid, rows))
+        failed |= not (same_work and rel <= GRID_TOL)
+        print(f"{spec.a:5.1f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} "
+              f"{sum(h.work for h in rows):7d} {t_loop * 1e3:7.1f}ms {t_grid * 1e3:7.1f}ms "
+              f"{rel:13.1e}{'' if same_work else '  WORK DIFFERS'}")
     if failed:
-        print(f"FAIL: a value off the oracle (hankel {HANKEL_TOL:.0e}, exp2d {EXP2D_TOL:.0e}) "
-              "or not converged")
+        print(f"FAIL: a value off the oracle (hankel {HANKEL_TOL:.0e}, exp2d {EXP2D_TOL:.0e}), "
+              f"not converged, or a grid row off eval_hankel (work, {GRID_TOL:.0e} relative)")
     return 1 if failed else 0
 
 

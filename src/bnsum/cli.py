@@ -30,9 +30,10 @@ from .asymptotics import (
 from .direct import EvalResult, SeriesSpec, check_inputs, sum_series
 from .errors import BnsumError, ConvergenceError, DomainError, ToleranceError
 from .harness import SUITES, run_suite
-from .quadrature import eval_exp2d, eval_hankel, eval_lifted
+from .quadrature import eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
 
 _METHODS = ("oracle", "hankel", "exp2d", "lifted", "asym", "auto")
+_SWEEP_TOL = 1e-10  # the tolerance of every method of a sweep
 
 
 def _fmt(x: float) -> str:
@@ -55,13 +56,17 @@ def _eval_asym(spec: SeriesSpec, r: float) -> EvalResult:
     return EvalResult(value, err, "asym", len(form.terms))
 
 
+def _quad_tols(tol: float) -> dict[str, float]:
+    return {"abs_tol": tol, "rel_tol": max(tol, 1e-12)}
+
+
 def _evaluate(spec: SeriesSpec, r: float, method: str, tol: float) -> EvalResult:
     check_inputs(r, tol)  # the asym route has no check of its own
     if method == "auto":
         method = "oracle" if r <= 50.0 else "asym"
     if method == "oracle":
         return sum_series(spec, r, tol=tol)
-    tols = {"abs_tol": tol, "rel_tol": max(tol, 1e-12)}
+    tols = _quad_tols(tol)
     if method == "hankel":
         return eval_hankel(spec, r, **tols)
     if method == "exp2d":
@@ -123,17 +128,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_row(spec: SeriesSpec, r: float, methods: list[str]) -> dict[str, float]:
+def _sweep_row(spec: SeriesSpec, r: float, methods: list[str],
+               hankel: EvalResult | None) -> dict[str, float]:
     row: dict[str, float] = {"r": r}
+    if hankel is not None:
+        row["hankel"] = hankel.value
     for method in methods:
-        if method == "hankel" and spec.a >= 0.0:
-            continue
+        if method == "hankel":
+            continue  # evaluated for the whole grid at once
         if method == "lifted" and (spec.a < 0.0 or r <= 0.0):
             continue
         if method == "asym" and r <= 0.0:
             continue
         try:
-            row[method] = _evaluate(spec, r, method, 1e-10).value
+            row[method] = _evaluate(spec, r, method, _SWEEP_TOL).value
         except (ConvergenceError, ToleranceError):
             pass  # leave the field empty
     return row
@@ -148,15 +156,20 @@ def _cmd_sweep(args) -> int:
     if args.points < 1:
         raise DomainError("--points must be >= 1")
     if args.log_grid:
-        if args.r_start <= 0.0:
-            raise DomainError("--log-grid requires --r-start > 0")
+        if not (0.0 < args.r_start < math.inf and 0.0 < args.r_end < math.inf):
+            raise DomainError("--log-grid requires finite --r-start > 0 and --r-end > 0")
         ratio = (args.r_end / args.r_start) ** (1.0 / max(1, args.points - 1))
         rs = [args.r_start * ratio ** k for k in range(args.points)]
     else:
         step = (args.r_end - args.r_start) / max(1, args.points - 1)
         rs = [args.r_start + step * k for k in range(args.points)]
+    for r in rs:
+        check_inputs(r)
 
-    rows = [_sweep_row(spec, r, methods) for r in rs]
+    hankel: list[EvalResult | None] = [None] * len(rs)
+    if "hankel" in methods and spec.a < 0.0:
+        hankel = eval_hankel_grid(spec, rs, **_quad_tols(_SWEEP_TOL))
+    rows = [_sweep_row(spec, r, methods, h) for r, h in zip(rs, hankel)]
 
     def cell(row, key):
         return _fmt(row[key]) if key in row else ""

@@ -12,7 +12,11 @@ a numpy kernel vectorized across arguments, ``_rows_numpy``.  With numba the
 loop is compiled and runs every call.  Without numba (not installed, or
 ``BNSUM_NO_NUMBA=1``; see :mod:`bnsum.backend`) the loop runs as plain Python
 for calls of at most ``_LOOP_MAX_COLUMNS`` arguments and the numpy kernel runs
-the rest.  For one argument both do the same arithmetic, bit for bit.
+the rest.  The loop starts each column at its own order, the numpy kernel
+every column at the call's highest; from the same start both do the same
+arithmetic, bit for bit.  So ``bessel_rows(nmax, rs, sizes)`` can serve many
+independent groups of arguments in one numpy call and still give each the
+values of a call of its own.
 
 A column ``J_nu(x)`` of one order over many arguments (the quadrature's
 ``J_nu(2 r cos phi)``) has two regimes.  Below ``hankel_x0(nu)`` it is row
@@ -105,37 +109,53 @@ def _rows_kernel(nmax, rs, starts, out):  # pragma: no cover - exercised via wra
             out[l, j] /= norm
 
 
-def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
+def _rows_numpy(nmax: int, rs: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """The recurrence, vectorized across columns.  Column j starts at order
+    ``starts[j]`` (above nmax), by default every column at the highest start
+    of the call; its values depend on nothing but its argument and its start."""
     n = rs.shape[0]
-    out = np.zeros((nmax + 1, n))
     zero = rs == 0.0
     tiny = (rs > 0.0) & (rs < _TINY_R)
-    safe_r = np.where(zero | tiny, 1.0, rs)
-    m = max(int(_start_order(nmax, rs).max(initial=0)), nmax + 1)
-    jp = np.zeros(n)
-    jc = np.full(n, 1e-300)
+    if starts is None:
+        starts = np.full(n, max(int(_start_order(nmax, rs).max(initial=0)), nmax + 1))
+    # columns by decreasing start, so those running at order l are a prefix
+    perm = np.argsort(-starts, kind="stable")
+    starts = starts[perm]
+    safe_r = np.where(zero | tiny, 1.0, rs)[perm]
+    out = np.zeros((nmax + 1, n))
+    jp, jc, jm = np.zeros(n), np.zeros(n), np.zeros(n)
     norm = np.zeros(n)
-    if m % 2 == 0:
-        norm += 2.0 * jc
-    if m <= nmax:
-        out[m] = jc
-    for l in range(m, 0, -1):
-        jm = (2.0 * l / safe_r) * jc - jp
-        jp = jc
-        jc = jm
+    k = 0
+    for l in range(int(starts.max(initial=0)), 0, -1):
+        if k < n and starts[k] == l:  # columns joining at order l
+            new = slice(k, k + int(np.count_nonzero(starts[k:] == l)))
+            k = new.stop
+            jp[new] = 0.0
+            jc[new] = 1e-300
+            if l % 2 == 0:
+                norm[new] = 2.0 * 1e-300
+            # views of the running prefix, rotated along with their buffers
+            r_k, p_k, c_k, m_k = safe_r[:k], jp[:k], jc[:k], jm[:k]
+            norm_k, out_k = norm[:k], out[:, :k]
+        np.divide(2.0 * l, r_k, out=m_k)
+        m_k *= c_k
+        m_k -= p_k
+        jp, jc, jm = jc, jm, jp
+        p_k, c_k, m_k = c_k, m_k, p_k
         order = l - 1
         if order <= nmax:
-            out[order] = jc
+            out_k[order] = c_k
         if order % 2 == 0:
-            norm += jc if order == 0 else 2.0 * jc
-        big = np.abs(jc) > _RESCALE
+            norm_k += c_k if order == 0 else 2.0 * c_k
+        big = np.abs(c_k) > _RESCALE
         if big.any():
             scale = np.where(big, _INV_RESCALE, 1.0)
-            jc = jc * scale
-            jp = jp * scale
-            norm = norm * scale
-            out[order:] *= scale
+            c_k *= scale
+            p_k *= scale
+            norm_k *= scale
+            out_k[order:] *= scale
     out /= norm
+    out[:, perm] = out.copy()
     if zero.any():
         out[:, zero] = 0.0
         out[0, zero] = 1.0
@@ -149,8 +169,12 @@ def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_rows(nmax: int, rs: np.ndarray) -> np.ndarray:
-    """J_0..J_nmax at every argument in ``rs`` (non-negative reals)."""
+def bessel_rows(nmax: int, rs: np.ndarray, sizes=None) -> np.ndarray:
+    """J_0..J_nmax at every argument in ``rs`` (non-negative reals).
+
+    With ``sizes``, ``rs`` is the concatenation of groups of these sizes, and
+    each column gets, bit for bit, the values of a call with its group alone.
+    """
     rs = np.asarray(rs, dtype=np.float64)
     if rs.ndim != 1:
         raise ValueError("rs must be one-dimensional")
@@ -162,7 +186,19 @@ def bessel_rows(nmax: int, rs: np.ndarray) -> np.ndarray:
         out = np.zeros((nmax + 1, rs.shape[0]))
         _rows_kernel(nmax, rs, _start_order(nmax, rs), out)
         return out
-    return _rows_numpy(nmax, rs)
+    if sizes is None or len(sizes) == 1:
+        return _rows_numpy(nmax, rs)
+    # Alone, a group of more than _LOOP_MAX_COLUMNS columns would start all of
+    # them at its highest start; a smaller one would run the loop, which
+    # starts each column at its own order and does the numpy kernel's
+    # arithmetic.
+    starts = _start_order(nmax, rs)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    top = np.full(len(sizes), nmax + 1, dtype=np.int64)
+    np.maximum.at(top, group, starts)
+    shared = np.asarray(sizes)[group] > _LOOP_MAX_COLUMNS
+    starts[shared] = top[group[shared]]
+    return _rows_numpy(nmax, rs, starts)
 
 
 # Truncation of Hankel's expansion: the first neglected term a_K(nu) / x0^K is

@@ -16,6 +16,7 @@ resp. geometrically graded open panels; phi = pi/2 itself is never a node.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -95,14 +96,31 @@ def _half_mesh(r: float, alpha: float, level: int):
     return nodes, weights, eps_nodes, eps_weights
 
 
-def _hankel_half(p: FParams, nu: int, r: float, level: int):
-    nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
-    total = float(np.sum(weights * f_eval_many(p, nodes)
-                         * bessel_j_col(nu, 2.0 * r * np.cos(nodes))))
-    # cos(pi/2 - eps) = sin(eps), evaluated without forming phi
-    total += float(np.sum(eps_w * f_eval_near_half_many(p, eps)
-                          * bessel_j_col(nu, 2.0 * r * np.sin(eps))))
-    return total, nodes.size + eps.size
+def _hankel_halves(p: FParams, nu: int, rs: list[float], level: int):
+    """(sum over [0, pi/2), node count) of the Hankel integrand per r of ``rs``.
+
+    The rows' meshes are concatenated, so F and the Bessel column are one
+    call per half whatever the number of rows.  Every node gets the values
+    it would get in a call for its row alone, and each row is summed over its
+    own slice, so a row's sum is bit for bit that of a one-row call.
+    """
+    meshes = [_half_mesh(r, p.alpha, level) for r in rs]
+    two_r = 2.0 * np.array(rs)
+
+    def half(k: int, near: bool) -> list[float]:
+        nodes = np.concatenate([mesh[k] for mesh in meshes])
+        sizes = [mesh[k].size for mesh in meshes]
+        if near:  # cos(pi/2 - eps) = sin(eps), evaluated without forming phi
+            fvals, trig = f_eval_near_half_many(p, nodes), np.sin(nodes)
+        else:
+            fvals, trig = f_eval_many(p, nodes), np.cos(nodes)
+        terms = (np.concatenate([mesh[k + 1] for mesh in meshes]) * fvals
+                 * bessel_j_col(nu, np.repeat(two_r, sizes) * trig, sizes))
+        ends = itertools.accumulate(sizes)
+        return [float(np.sum(terms[end - size:end])) for size, end in zip(sizes, ends)]
+
+    sums = zip(half(0, False), half(2, True), meshes)
+    return [(smooth + sing, mesh[0].size + mesh[2].size) for smooth, sing, mesh in sums]
 
 
 def _hankel_full(p: FParams, nu: int, r: float, level: int):
@@ -119,44 +137,83 @@ def _hankel_full(p: FParams, nu: int, r: float, level: int):
     return total, 2 * (nodes.size + eps.size)
 
 
-def _converge(evaluate, abs_tol: float, rel_tol: float, max_nodes: int,
-              tag: str) -> EvalResult:
-    prev = None
-    work = 0
+def _converge(evaluate, count: int, abs_tol: float, rel_tol: float,
+              max_nodes: int, tag: str) -> list[EvalResult | None]:
+    """Refine ``count`` rows level by level, each until it meets its own
+    tolerance; ``None`` for a row that does not within 7 levels or stops at
+    ``max_nodes``.  ``evaluate(level, rows)`` returns (value, nodes, extra
+    error) for each row index of ``rows``, the rows still refining."""
+    results: list[EvalResult | None] = [None] * count
+    prev: list[float | None] = [None] * count
+    work = [0] * count
+    live = list(range(count))
     for level in range(7):
-        value, n_nodes, extra_err = evaluate(level)
-        work += n_nodes
-        if prev is not None:
-            err = abs(value - prev) + extra_err
-            if err <= max(abs_tol, rel_tol * abs(value)):
-                return EvalResult(value, err, tag, work)
-            if n_nodes > max_nodes:
-                break
-        prev = value
-    raise ConvergenceError(f"{tag} quadrature did not reach tolerance (work={work})")
+        if not live:
+            break
+        refining = []
+        for i, (value, n_nodes, extra_err) in zip(live, evaluate(level, live)):
+            work[i] += n_nodes
+            if prev[i] is not None:
+                err = abs(value - prev[i]) + extra_err
+                if err <= max(abs_tol, rel_tol * abs(value)):
+                    results[i] = EvalResult(value, err, tag, work[i])
+                    continue
+                if n_nodes > max_nodes:
+                    continue
+            prev[i] = value
+            refining.append(i)
+        live = refining
+    return results
+
+
+def _single(results: list[EvalResult | None], tag: str) -> EvalResult:
+    if results[0] is None:
+        raise ConvergenceError(f"{tag} quadrature did not reach tolerance")
+    return results[0]
+
+
+def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
+            rel_tol: float) -> list[EvalResult | None]:
+    if spec.a >= 0.0:
+        raise DomainError("eval_hankel requires a < 0")
+    rs = [float(r) for r in rs]
+    for r in rs:
+        check_inputs(r, abs_tol, rel_tol)
+    sp = spec.canonical()
+    p = FParams(-sp.a, sp.beta, sp.mu)
+    sign = -1.0 if sp.m_prime % 2 else 1.0
+    positive = [i for i, r in enumerate(rs) if r > 0.0]
+
+    def evaluate(level, rows):
+        r_rows = [rs[positive[i]] for i in rows]
+        if use_parity:
+            sums = [(2.0 * raw, n) for raw, n in _hankel_halves(p, sp.nu, r_rows, level)]
+        else:
+            sums = [_hankel_full(p, sp.nu, r, level) for r in r_rows]
+        return [(sign / math.pi * raw, n, 0.0) for raw, n in sums]
+
+    out = [EvalResult(0.0, 0.0, "hankel", 0)] * len(rs)
+    found = _converge(evaluate, len(positive), abs_tol, rel_tol, 16 * _MAX_PANELS, "hankel")
+    for i, res in zip(positive, found):
+        out[i] = res
+    return out
 
 
 def eval_hankel(spec: SeriesSpec, r: float, *, use_parity: bool = True,
                 abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """One-dimensional Hankel-transform route; requires a < 0."""
-    if spec.a >= 0.0:
-        raise DomainError("eval_hankel requires a < 0")
-    check_inputs(r, abs_tol, rel_tol)
-    sp = spec.canonical()
-    if r == 0.0:
-        return EvalResult(0.0, 0.0, "hankel", 0)
-    p = FParams(-sp.a, sp.beta, sp.mu)
-    sign = -1.0 if sp.m_prime % 2 else 1.0
+    return _single(_hankel(spec, [r], use_parity, abs_tol, rel_tol), "hankel")
 
-    def evaluate(level):
-        if use_parity:
-            raw, n = _hankel_half(p, sp.nu, r, level)
-            raw *= 2.0
-        else:
-            raw, n = _hankel_full(p, sp.nu, r, level)
-        return sign / math.pi * raw, n, 0.0
 
-    return _converge(evaluate, abs_tol, rel_tol, 16 * _MAX_PANELS, "hankel")
+def eval_hankel_grid(spec: SeriesSpec, rs, *, abs_tol: float = ABS_TOL,
+                     rel_tol: float = REL_TOL) -> list[EvalResult | None]:
+    """``eval_hankel`` at every r of ``rs``, as one batched quadrature.
+
+    Each row keeps its own mesh and converges by itself, with the same work
+    as ``eval_hankel``; ``None`` marks a row that did not converge.  Every r
+    is checked before any quadrature runs.
+    """
+    return _hankel(spec, rs, True, abs_tol, rel_tol)
 
 
 def _theta_rule(r: float, nu: int, level: int):
@@ -175,7 +232,7 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
     p = FParams(-sp.a, sp.beta, sp.mu)
     prefactor = 2.0 * (1j) ** (-sp.mu) / math.pi ** 2
 
-    def evaluate(level):
+    def evaluate(level, _rows):
         nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
         cphi = np.concatenate((np.cos(nodes), -np.cos(nodes), np.sin(eps), -np.sin(eps)))
         w = np.concatenate((weights, weights, eps_w, eps_w))
@@ -191,9 +248,9 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
         inner = np.concatenate([np.exp(2j * r * cphi[i:i + rows, None] * ctheta) @ tw
                                 for i in range(0, cphi.size, rows)])
         total = complex(np.sum(w * fvals * inner)) * prefactor
-        return total.real, cphi.size * tn.size, abs(total.imag)
+        return [(total.real, cphi.size * tn.size, abs(total.imag))]
 
-    return _converge(evaluate, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d")
+    return _single(_converge(evaluate, 1, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d"), "exp2d")
 
 
 def eval_lifted(spec: SeriesSpec, r: float, *,

@@ -333,11 +333,13 @@ def _wynn_epsilon(seq: np.ndarray) -> complex:
     return complex(best)
 
 
-def bessel_j_col(order: int, args: np.ndarray) -> np.ndarray:
+def bessel_j_col(order: int, args: np.ndarray, sizes=None) -> np.ndarray:
     """J_order at every (non-negative) argument of ``args``.
 
     Arguments from ``hankel_x0(order)`` on take Hankel's expansion; only the
-    others run the recurrence, which then starts near x0.
+    others run the recurrence, which then starts near x0.  With ``sizes``,
+    ``args`` is the concatenation of groups of these sizes, and each gets,
+    bit for bit, the values of a call of its own.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -345,5 +347,8 @@ def bessel_j_col(order: int, args: np.ndarray) -> np.ndarray:
     large = args >= hankel_x0(order)
     out = np.empty(args.shape)
     out[large] = bessel_j_large(order, args[large])
-    out[~large] = bessel_rows(order, args[~large])[order]
+    if sizes is not None and len(sizes) > 1:
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        sizes = np.bincount(group[~large], minlength=len(sizes))
+    out[~large] = bessel_rows(order, args[~large], sizes)[order]
     return out

@@ -137,6 +137,70 @@ class TestSweep:
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert rows[0][4] == "" and rows[1][4] != ""
 
+    @pytest.mark.parametrize("r_end", ["-5", "0", "nan", "inf"])
+    def test_log_grid_bad_end_exit_2(self, capsys, tmp_path, r_end):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--a", "-1.5", "--beta", "0", "--m", "0",
+                           "--mprime", "0", "--r-start", "1", "--r-end", r_end,
+                           "--points", "3", "--log-grid", "--out", str(out))
+        assert code == 2
+        assert "--r-end > 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_start, r_end, points", [
+        ("0.9", "0", "8"),  # the last row, 0.9 + 7 * (-0.9 / 7), rounds to -1.1e-16
+        ("1", "nan", "4"),
+    ])
+    def test_bad_row_rejected_before_any_evaluation(self, capsys, tmp_path, monkeypatch,
+                                                    r_start, r_end, points):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr("bnsum.cli.sum_series", no_evaluation)
+        monkeypatch.setattr("bnsum.cli.eval_hankel_grid", no_evaluation)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--a", "-1.5", "--beta", "0", "--m", "0",
+                           "--mprime", "0", "--r-start", r_start, "--r-end", r_end,
+                           "--points", points, "--out", str(out))
+        assert code == 2 and "finite" in err
+        assert not out.exists()
+
+    def test_hankel_column_matches_eval(self, capsys, tmp_path):
+        spec = ["--a", "-0.7", "--beta", "0.3", "--m", "2", "--mprime", "1"]
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", *spec, "--r-start", "0.5", "--r-end", "60",
+                         "--points", "10", "--out", str(out))
+        assert code == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 10
+        for line in rows:
+            cells = line.split(",")
+            _, out_h, _ = run(capsys, "eval", *spec, "--r", cells[0], "--method", "hankel",
+                              "--tol", "1e-10")
+            want = json.loads(out_h)["value"]
+            assert abs(float(cells[2]) - want) <= 1e-13 * abs(want)
+            assert float(cells[5]) < 1e-8  # diff_oracle_hankel
+
+    def test_unconverged_hankel_row_leaves_its_cell_empty(self, capsys, tmp_path,
+                                                           monkeypatch):
+        from bnsum.quadrature import eval_hankel_grid
+
+        def second_unconverged(*args, **kwargs):
+            results = eval_hankel_grid(*args, **kwargs)
+            results[1] = None
+            return results
+
+        monkeypatch.setattr("bnsum.cli.eval_hankel_grid", second_unconverged)
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--a", "-1.5", "--beta", "0", "--m", "0",
+                         "--mprime", "0", "--r-start", "1", "--r-end", "3",
+                         "--points", "3", "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [row[2] == "" for row in rows] == [False, True, False]
+        assert [row[5] == "" for row in rows] == [False, True, False]
+        assert all(row[1] != "" and row[4] != "" for row in rows)
+
     def test_unwritable_exit_4(self, capsys):
         code, _, _ = run(capsys, "sweep", "--a", "-1", "--beta", "0", "--m", "0",
                          "--mprime", "0", "--r-start", "1", "--r-end", "2",

@@ -83,6 +83,18 @@ class TestBesselRows:
         bessel_rows(30, np.linspace(0.1, 40.0, 64))
         assert calls == [64]
 
+    @pytest.mark.parametrize("nmax", [0, 1, 3, 40, 600])
+    def test_groups_match_separate_calls_bitwise(self, nmax):
+        # groups of at most 4 columns alone run the loop, larger ones the
+        # numpy kernel started at their highest order; an empty group too
+        rng = np.random.default_rng(9)
+        groups = [rng.uniform(0.0, 25.0, 30), np.array([0.0, 1e-60, 3.5, 17.0]),
+                  np.array([]), 10.0 ** rng.uniform(-3.0, 2.5, 12), np.array([24.9]),
+                  rng.uniform(0.0, 2.0, 6)]
+        rows = bessel_rows(nmax, np.concatenate(groups), [g.size for g in groups])
+        alone = np.concatenate([bessel_rows(nmax, g) for g in groups], axis=1)
+        assert np.array_equal(rows, alone)
+
     def test_zero_argument(self):
         row = bessel_rows(4, np.array([0.0]))[:, 0]
         assert row[0] == 1.0

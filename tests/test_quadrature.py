@@ -1,11 +1,12 @@
 """Integral-representation routes against the certified direct sum."""
 import math
 
+import numpy as np
 import pytest
 
 from bnsum.direct import SeriesSpec, sum_series
-from bnsum.errors import DomainError
-from bnsum.quadrature import eval_exp2d, eval_hankel, eval_lifted
+from bnsum.errors import ConvergenceError, DomainError
+from bnsum.quadrature import eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
 
 
 def oracle(a, beta, m, mp, r):
@@ -74,6 +75,60 @@ class TestHankel:
         sp = SeriesSpec(-1.5, 0.0, 0, 0)
         res = eval_hankel(sp, 7.0)
         assert abs(res.value - oracle(-1.5, 0.0, 0, 0, 7.0)) <= max(res.err_est, 1e-9)
+
+
+_RNG = np.random.default_rng(3)
+# alpha below and above 1 (the u-substitution and the graded panels), nu 0..3
+GRID_SPECS = [SeriesSpec(a, float(_RNG.uniform(-0.9, 2.0)), m, mp)
+              for a, m, mp in ((-0.4, 1, 1), (-0.7, 2, 1), (-1.5, 2, 0), (-2.2, 3, 0))]
+
+
+class TestHankelGrid:
+    @pytest.mark.parametrize("spec", GRID_SPECS)
+    def test_rows_match_eval_hankel(self, spec):
+        # r = 0 and a repeated r included; below r = 12.5 every Bessel
+        # argument of a row is small, and its recurrence starts lower than
+        # those of the other rows
+        rs = [0.0, 3.7, 12.0, 12.0, 41.5, 96.0]
+        grid = eval_hankel_grid(spec, rs)
+        assert grid == [eval_hankel(spec, r) for r in rs]
+        assert grid[0].value == 0.0 and grid[0].work == 0
+        assert all(type(res.value) is float for res in grid)
+
+    @pytest.mark.parametrize("spec, r", [(GRID_SPECS[0], 5.0), (GRID_SPECS[2], 40.0),
+                                         (GRID_SPECS[3], 0.0), (GRID_SPECS[1], 250.0)])
+    def test_one_row_is_bitwise_eval_hankel(self, spec, r):
+        assert eval_hankel_grid(spec, [r]) == [eval_hankel(spec, r)]
+
+    @pytest.mark.parametrize("spec", [SeriesSpec(-0.06, 0.0, 0, 0), SeriesSpec(-0.5, 0.0, 1, 0)])
+    def test_unconverged_rows_are_none(self, spec):
+        # at a = -0.06, r = 3,500 the second level has 74k nodes, more than
+        # the quadrature allows, and its delta (3e-7) is far above tol
+        tols = {"abs_tol": 1e-10, "rel_tol": 1e-10}
+        rs = [2.0, 3500.0, 20.0, 0.0]
+        grid = eval_hankel_grid(spec, rs, **tols)
+        for r, got in zip(rs, grid):
+            try:
+                want = eval_hankel(spec, r, **tols)
+            except ConvergenceError:
+                want = None
+            assert got == want
+        assert (grid[1] is None) == (spec.a == -0.06)
+
+    @pytest.mark.parametrize("spec, rs", [
+        (SeriesSpec(0.5, 0.0, 0, 0), [1.0, 2.0]),
+        (SeriesSpec(0.0, 0.0, 0, 0), [1.0]),
+        (GRID_SPECS[0], [1.0, 5.0, -1.0]),
+        (GRID_SPECS[0], [1.0, 5.0, math.nan]),
+        (GRID_SPECS[0], [math.inf, 5.0]),
+    ])
+    def test_rejects_bad_grid_before_quadrature(self, spec, rs, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr("bnsum.quadrature._half_mesh", no_quadrature)
+        with pytest.raises(DomainError):
+            eval_hankel_grid(spec, rs)
 
 
 class TestExp2d:

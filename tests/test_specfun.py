@@ -180,3 +180,16 @@ class TestBesselJCol:
         for nu in (0, 1, 3, 9):
             xs = np.concatenate(([0.0, 1e-60], rng.uniform(0.0, hankel_x0(nu), 30)))
             assert np.array_equal(bessel_j_col(nu, xs), bessel_rows(nu, xs)[nu]), nu
+
+    def test_groups_match_separate_calls_bitwise(self):
+        # a quadrature grid's rows: each group mixes both regimes, one has no
+        # argument below x0, one has too few for the numpy kernel
+        rng = np.random.default_rng(10)
+        for nu in (0, 1, 3):
+            x0 = hankel_x0(nu)
+            groups = [rng.uniform(0.0, 3.0 * x0, 40), rng.uniform(x0, 200.0, 20),
+                      np.concatenate((rng.uniform(x0, 90.0, 10), [0.5, x0 / 2])),
+                      np.array([]), rng.uniform(0.0, 0.6 * x0, 25)]
+            got = bessel_j_col(nu, np.concatenate(groups), [g.size for g in groups])
+            alone = np.concatenate([bessel_j_col(nu, g) for g in groups])
+            assert np.array_equal(got, alone), nu
