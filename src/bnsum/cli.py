@@ -168,7 +168,10 @@ def _cmd_sweep(args) -> int:
 
     hankel: list[EvalResult | None] = [None] * len(rs)
     if "hankel" in methods and spec.a < 0.0:
-        hankel = eval_hankel_grid(spec, rs, **_quad_tols(_SWEEP_TOL))
+        try:
+            hankel = eval_hankel_grid(spec, rs, **_quad_tols(_SWEEP_TOL))
+        except ConvergenceError:
+            pass  # a failure of the whole grid leaves the column empty
     rows = [_sweep_row(spec, r, methods, h) for r, h in zip(rs, hankel)]
 
     def cell(row, key):

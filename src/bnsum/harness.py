@@ -211,7 +211,7 @@ def _suite_representations(rep: ValidationReport) -> None:
     ]
     routes = (
         ("oracle_vs_hankel", eval_hankel, grid, 1e-2, 1e-6),
-        ("oracle_vs_exp2d", eval_exp2d, [c for c in grid if c[4] <= 10.0], 1e-2, 1e-5),
+        ("oracle_vs_exp2d", eval_exp2d, grid, 1e-2, 1e-5),
         ("oracle_vs_lifted", eval_lifted, grid_lifted, 1e-1, 1e-5),
     )
     for name, route, cases, floor, tol in routes:

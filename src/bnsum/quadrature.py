@@ -32,10 +32,11 @@ _SING_WIDTH = 0.4  # size of the graded region left of pi/2
 _MAX_PANELS = 4096  # refinement stops once a level exceeds a multiple of this
 _GRADING = 2.0  # ratio of the geometric panels towards pi/2 when alpha >= 1
 _PANELS_PER_PERIOD = 4  # oscillation resolution of the smooth and theta meshes
-# exp2d builds and contracts its (phi, theta) kernel in blocks of phi rows of
-# at most this many cells, so its memory does not grow as r^2.  A 1 MiB
-# complex128 block stays in cache: warm eval_exp2d at a=-0.5, r=200 took
-# 480-540 ms with 2^16 cells, 850-900 with 2^20 and 580-670 whole.
+# exp2d builds and contracts its real (phi, theta) kernel in blocks of phi
+# rows of at most this many cells (512 KiB of float64), so its memory does not
+# grow as r^2.  Warm eval_exp2d at a=-0.5, r=200 took 150-230 ms with 2^12 to
+# 2^18 cells, within noise of each other, and 185-255 ms with 2^20 (best of 5,
+# four runs each; 2 CPUs, one BLAS thread).
 _KERNEL_CELLS = 1 << 16
 # default tolerances of the three routes: refinement stops once err_est is
 # at most max(abs_tol, rel_tol * |value|)
@@ -87,6 +88,9 @@ def _half_mesh(r: float, alpha: float, level: int):
         eps_widths = np.diff(u_edges ** (1.0 / alpha))
         un, uw = _panel_nodes(_split(u_edges, _pieces(eps_widths, r, level)))
         eps_nodes = un ** (1.0 / alpha)
+        if eps_nodes[0] == 0.0:  # the smallest node; F is singular at eps = 0
+            raise ConvergenceError(f"alpha = {alpha:g} is too small for the quadrature "
+                                   "near phi = pi/2: eps = u^(1/alpha) underflows to 0")
         eps_weights = uw * (1.0 / alpha) * un ** (1.0 / alpha - 1.0)
     else:
         depth = int(math.ceil(46.0 * math.log(2.0) / math.log(_GRADING)))
@@ -234,21 +238,26 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
 
     def evaluate(level, _rows):
         nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
-        cphi = np.concatenate((np.cos(nodes), -np.cos(nodes), np.sin(eps), -np.sin(eps)))
-        w = np.concatenate((weights, weights, eps_w, eps_w))
-        fvals = np.concatenate((
-            f_eval_many(p, nodes),
-            f_eval_many(p, math.pi - nodes),
-            f_eval_near_half_many(p, eps, side=1),
-            f_eval_near_half_many(p, eps, side=-1),
-        ))
+        # phi and pi - phi (eps on sides +1 and -1) have cosines of opposite
+        # sign, so their kernels e^{+-i x} are conjugate: one real cos(x) and
+        # one sin(x) per pair, x = 2 r cos(phi) cos(theta).  F is evaluated
+        # on both sides, so the imaginary residue still checks the formula.
+        plus = np.concatenate((weights * f_eval_many(p, nodes),
+                               eps_w * f_eval_near_half_many(p, eps, side=1)))
+        minus = np.concatenate((weights * f_eval_many(p, math.pi - nodes),
+                                eps_w * f_eval_near_half_many(p, eps, side=-1)))
+        two_r_cphi = 2.0 * r * np.concatenate((np.cos(nodes), np.sin(eps)))
         tn, tw = _theta_rule(r, sp.nu, level)
-        ctheta = np.cos(tn)[None, :]
+        ctheta = np.cos(tn)
         rows = max(1, _KERNEL_CELLS // tn.size)
-        inner = np.concatenate([np.exp(2j * r * cphi[i:i + rows, None] * ctheta) @ tw
-                                for i in range(0, cphi.size, rows)])
-        total = complex(np.sum(w * fvals * inner)) * prefactor
-        return [(total.real, cphi.size * tn.size, abs(total.imag))]
+        cos_sum, sin_sum = np.empty_like(plus), np.empty_like(plus)
+        for i in range(0, plus.size, rows):
+            x = np.multiply.outer(two_r_cphi[i:i + rows], ctheta)
+            cos_sum[i:i + rows] = np.cos(x) @ tw
+            sin_sum[i:i + rows] = np.sin(x, out=x) @ tw
+        total = prefactor * complex(np.sum((plus + minus) * cos_sum),
+                                    np.sum((plus - minus) * sin_sum))
+        return [(total.real, 2 * plus.size * tn.size, abs(total.imag))]
 
     return _single(_converge(evaluate, 1, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d"), "exp2d")
 

@@ -87,6 +87,14 @@ class TestEval:
         assert code == 3
         assert out == "" and err.startswith("error: out of memory")
 
+    def test_underflowing_substitution_exit_3(self, capsys):
+        # at alpha = 0.03 the smallest eps = u^(1/alpha) nodes underflow to 0,
+        # a numeric failure of the route, not a usage error
+        code, out, err = run(capsys, "eval", "--a", "-0.03", "--beta", "0.3", "--m", "1",
+                             "--mprime", "0", "--r", "20", "--method", "hankel")
+        assert code == 3
+        assert out == "" and "alpha = 0.03" in err
+
     @pytest.mark.parametrize("a", ["400", "1e308"])
     def test_nonfinite_oracle_exit_3(self, capsys, a):
         # (l+beta)^a overflows; at 1e308 so does the certificate's term ratio
@@ -200,6 +208,21 @@ class TestSweep:
         assert [row[2] == "" for row in rows] == [False, True, False]
         assert [row[5] == "" for row in rows] == [False, True, False]
         assert all(row[1] != "" and row[4] != "" for row in rows)
+
+    @pytest.mark.parametrize("a", ["-0.03", "0.956"])
+    def test_underflowing_substitution_leaves_cells_empty(self, capsys, tmp_path, a):
+        # hankel at alpha = 0.03, and lifted through its leaf at a - 1 = -0.044,
+        # fail on eps = u^(1/alpha) underflowing; the sweep keeps its other cells
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--a", a, "--beta", "0.3", "--m", "1",
+                         "--mprime", "0", "--r-start", "5", "--r-end", "20",
+                         "--points", "3", "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[1] != "" and row[4] != ""  # oracle, asym
+            assert row[2] == "" and row[3] == "" and row[5] == ""  # hankel, lifted
 
     def test_unwritable_exit_4(self, capsys):
         code, _, _ = run(capsys, "sweep", "--a", "-1", "--beta", "0", "--m", "0",

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from bnsum import quadrature
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError, DomainError
+from bnsum.fseries import FParams, f_eval_many, f_eval_near_half_many
 from bnsum.quadrature import eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
 
 
@@ -131,7 +133,53 @@ class TestHankelGrid:
             eval_hankel_grid(spec, rs)
 
 
+def exp2d_unfolded(spec: SeriesSpec, r: float):
+    """``eval_exp2d`` with one complex exponential per cell over all four
+    phi-node sets (phi, pi - phi, eps on either side), unfolded."""
+    sp = spec.canonical()
+    p = FParams(-sp.a, sp.beta, sp.mu)
+    prefactor = 2.0 * (1j) ** (-sp.mu) / math.pi ** 2
+
+    def evaluate(level, _rows):
+        nodes, weights, eps, eps_w = quadrature._half_mesh(r, p.alpha, level)
+        cphi = np.concatenate((np.cos(nodes), -np.cos(nodes), np.sin(eps), -np.sin(eps)))
+        w = np.concatenate((weights, weights, eps_w, eps_w))
+        fvals = np.concatenate((
+            f_eval_many(p, nodes),
+            f_eval_many(p, math.pi - nodes),
+            f_eval_near_half_many(p, eps, side=1),
+            f_eval_near_half_many(p, eps, side=-1),
+        ))
+        tn, tw = quadrature._theta_rule(r, sp.nu, level)
+        ctheta = np.cos(tn)[None, :]
+        rows = max(1, quadrature._KERNEL_CELLS // tn.size)
+        inner = np.concatenate([np.exp(2j * r * cphi[i:i + rows, None] * ctheta) @ tw
+                                for i in range(0, cphi.size, rows)])
+        total = complex(np.sum(w * fvals * inner)) * prefactor
+        return [(total.real, cphi.size * tn.size, abs(total.imag))]
+
+    found = quadrature._converge(evaluate, 1, quadrature.ABS_TOL, quadrature.REL_TOL,
+                                 4096 * quadrature._MAX_PANELS, "exp2d")
+    return quadrature._single(found, "exp2d")
+
+
+_RNG_EXP2D = np.random.default_rng(9)
+# mu = m + m' odd and even, alpha below and above 1; at r = 90 the kernel
+# spans more than 20 blocks of _KERNEL_CELLS
+EXP2D_CASES = [(SeriesSpec(a, float(_RNG_EXP2D.uniform(-0.9, 2.0)), m, mp), r)
+               for (a, m, mp), r in zip(((-0.4, 1, 0), (-0.7, 1, 1), (-1.5, 2, 1), (-2.2, 3, 1),
+                                         (-0.3, 0, 2), (-1.2, 2, 1)),
+                                        (*_RNG_EXP2D.uniform(0.5, 60.0, 4), 90.0, 90.0))]
+
+
 class TestExp2d:
+    @pytest.mark.parametrize("spec, r", EXP2D_CASES)
+    def test_fold_matches_unfolded_kernel(self, spec, r):
+        # the mirrored nodes share one real cos/sin kernel: same mesh, same work
+        got, want = eval_exp2d(spec, r), exp2d_unfolded(spec, r)
+        assert got.work == want.work
+        assert abs(got.value - want.value) <= 1e-13 * max(1e-2, abs(want.value))
+
     @pytest.mark.parametrize("case", [
         (-2.0, 0.0, 0, 0, 3.0),
         (-1.5, 0.5, 1, 0, 5.0),
