@@ -6,11 +6,16 @@ runs the numpy kernel otherwise).  The one-argument case, 400 calls of one
 argument each at nmax 600, always does: ``bessel_rows`` runs the loop
 kernel there, compiled with numba and plain Python without.
 
-The column cases take the arguments of ``eval_hankel``'s level-0 mesh,
+The column cases take the arguments of ``eval_hankel``'s mesh,
 ``2 r cos(phi)`` and ``2 r sin(eps)`` from ``quadrature._half_mesh`` at
-a = -0.5, for r in {100, 1000} and nu in {0, 3}.  Each prints the time of
-the two ``bessel_j_col`` calls and the largest |error| against mpmath on 50
-seeded arguments of them.
+a = -0.5: level 0 for r in {100, 1000}, and level 2 for r = 12, where every
+argument is below ``hankel_x0`` and so runs the recurrence.  A last case
+takes 4,000 arguments spread uniformly below 25.  Each case, for nu in
+{0, 3}, prints the time of its ``bessel_j_col`` calls and the largest
+|error| against mpmath on 50 seeded arguments of them.
+
+Every multi-column result is checked bit for bit against the numpy kernel,
+and every one-argument row against the same row from ``_rows_numpy``.
 
 Usage: python benchmarks/bench_bessel_rows.py [repeats]
 """
@@ -65,7 +70,7 @@ def main():
             print(f"{name:28s} {'-':>10s} {t_numpy * 1e3:8.2f}ms {'':>8s}")
         ref = _rows_numpy(nmax, rs)
         got = bessel_rows(nmax, rs)
-        assert np.allclose(ref, got, atol=1e-14), "backends disagree"
+        assert np.array_equal(ref, got), "backends disagree"
 
     one_arg = rng.uniform(1.0, 900.0, 400)
     t_numpy = timeit(_per_arg, _rows_numpy, one_arg, repeats=repeats)
@@ -78,16 +83,20 @@ def main():
 
     mpmath.mp.dps = 30
     print(f"{'bessel_j_col on the mesh':28s} {'args':>7s} {'time':>10s} {'max |err|':>10s}")
-    for r in (100.0, 1000.0):
-        nodes, _, eps, _ = _half_mesh(r, 0.5, 0)
-        cols = (2.0 * r * np.cos(nodes), 2.0 * r * np.sin(eps))
+    col_cases = []
+    for r, level in ((100.0, 0), (1000.0, 0), (12.0, 2)):
+        nodes, _, eps, _ = _half_mesh(r, 0.5, level)
+        col_cases.append((f"r={r:g} level {level}",
+                          (2.0 * r * np.cos(nodes), 2.0 * r * np.sin(eps))))
+    col_cases.append(("uniform x < 25", (rng.uniform(0.0, 25.0, 4000),)))
+    for name, cols in col_cases:
         for nu in (0, 3):
             t_col = sum(timeit(bessel_j_col, nu, x, repeats=repeats) for x in cols)
             xs = np.concatenate(cols)
             sample = rng.choice(xs, 50, replace=False)
             want = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(x)))) for x in sample])
             err = np.max(np.abs(bessel_j_col(nu, sample) - want))
-            print(f"{f'r={r:g} nu={nu}':28s} {xs.size:7d} {t_col * 1e3:8.2f}ms {err:10.1e}")
+            print(f"{f'{name} nu={nu}':28s} {xs.size:7d} {t_col * 1e3:8.2f}ms {err:10.1e}")
 
 
 if __name__ == "__main__":

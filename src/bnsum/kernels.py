@@ -12,11 +12,10 @@ a numpy kernel vectorized across arguments, ``_rows_numpy``.  With numba the
 loop is compiled and runs every call.  Without numba (not installed, or
 ``BNSUM_NO_NUMBA=1``; see :mod:`bnsum.backend`) the loop runs as plain Python
 for calls of at most ``_LOOP_MAX_COLUMNS`` arguments and the numpy kernel runs
-the rest.  The loop starts each column at its own order, the numpy kernel
-every column at the call's highest; from the same start both do the same
-arithmetic, bit for bit.  So ``bessel_rows(nmax, rs, sizes)`` can serve many
-independent groups of arguments in one numpy call and still give each the
-values of a call of its own.
+the rest.  Both start each column at ``_start_order`` of its own argument and
+do the same arithmetic, so a column depends on its argument alone: whatever
+else a call holds and whichever kernel runs it, it is bit for bit the column
+of a one-argument call.
 
 A column ``J_nu(x)`` of one order over many arguments (the quadrature's
 ``J_nu(2 r cos phi)``) has two regimes.  Below ``hankel_x0(nu)`` it is row
@@ -76,16 +75,11 @@ def _rows_kernel(nmax, rs, starts, out):  # pragma: no cover - exercised via wra
                 term = term * (0.5 * r) / l
                 out[l, j] = term
             continue
-        m = starts[j]
+        m = starts[j]  # at least nmax + 20: nothing is stored at it
         jp = 0.0
         jc = 1e-300
-        norm = 0.0
-        top = nmax  # highest order stored so far (exclusive bookkeeping)
-        if m % 2 == 0:
-            norm = 2.0 * jc if m > 0 else jc
-        if m <= nmax:
-            out[m, j] = jc
-            top = m
+        norm = 2.0 * jc if m % 2 == 0 else 0.0
+        top = nmax  # lowest order stored so far
         for l in range(m, 0, -1):
             jm = (2.0 * l / r) * jc - jp
             jp = jc
@@ -109,31 +103,30 @@ def _rows_kernel(nmax, rs, starts, out):  # pragma: no cover - exercised via wra
             out[l, j] /= norm
 
 
-def _rows_numpy(nmax: int, rs: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
-    """The recurrence, vectorized across columns.  Column j starts at order
-    ``starts[j]`` (above nmax), by default every column at the highest start
-    of the call; its values depend on nothing but its argument and its start."""
+def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
+    """The recurrence, vectorized across columns.  Column j starts at
+    ``_start_order(nmax, rs)[j]``, as in the loop, so its values depend on
+    nothing but its argument."""
     n = rs.shape[0]
     zero = rs == 0.0
     tiny = (rs > 0.0) & (rs < _TINY_R)
-    if starts is None:
-        starts = np.full(n, max(int(_start_order(nmax, rs).max(initial=0)), nmax + 1))
-    # columns by decreasing start, so those running at order l are a prefix
-    perm = np.argsort(-starts, kind="stable")
-    starts = starts[perm]
+    starts = _start_order(nmax, rs)
+    # columns by decreasing start, so those running at order l are a prefix,
+    # of length ends[top - l]; ties may come in any order
+    perm = np.argsort(-starts)
+    top = int(starts.max(initial=0))
+    ends = np.searchsorted(-starts[perm], -np.arange(top, 0, -1), side="right")
     safe_r = np.where(zero | tiny, 1.0, rs)[perm]
     out = np.zeros((nmax + 1, n))
     jp, jc, jm = np.zeros(n), np.zeros(n), np.zeros(n)
     norm = np.zeros(n)
     k = 0
-    for l in range(int(starts.max(initial=0)), 0, -1):
-        if k < n and starts[k] == l:  # columns joining at order l
-            new = slice(k, k + int(np.count_nonzero(starts[k:] == l)))
-            k = new.stop
-            jp[new] = 0.0
-            jc[new] = 1e-300
+    for l, end in zip(range(top, 0, -1), ends.tolist()):
+        if end > k:  # columns joining at order l; past the prefix all is zero
+            jc[k:end] = 1e-300
             if l % 2 == 0:
-                norm[new] = 2.0 * 1e-300
+                norm[k:end] = 2.0 * 1e-300
+            k = end
             # views of the running prefix, rotated along with their buffers
             r_k, p_k, c_k, m_k = safe_r[:k], jp[:k], jc[:k], jm[:k]
             norm_k, out_k = norm[:k], out[:, :k]
@@ -169,11 +162,11 @@ def _rows_numpy(nmax: int, rs: np.ndarray, starts: np.ndarray | None = None) -> 
     return out
 
 
-def bessel_rows(nmax: int, rs: np.ndarray, sizes=None) -> np.ndarray:
-    """J_0..J_nmax at every argument in ``rs`` (non-negative reals).
+def bessel_rows(nmax: int, rs: np.ndarray) -> np.ndarray:
+    """J_0..J_nmax at every argument in ``rs`` (finite, non-negative reals).
 
-    With ``sizes``, ``rs`` is the concatenation of groups of these sizes, and
-    each column gets, bit for bit, the values of a call with its group alone.
+    Each column depends on its argument alone: it is, bit for bit, the
+    column of a call with that argument by itself.
     """
     rs = np.asarray(rs, dtype=np.float64)
     if rs.ndim != 1:
@@ -182,23 +175,15 @@ def bessel_rows(nmax: int, rs: np.ndarray, sizes=None) -> np.ndarray:
         raise ValueError("nmax must be >= 0")
     if rs.size == 0:
         return np.zeros((nmax + 1, 0))
+    # a NaN, infinite or negative argument has no start order; cast, it would
+    # sort first and stop the recurrence of every column
+    if not (rs.min() >= 0.0 and rs.max() < math.inf):
+        raise ValueError("rs must be finite and >= 0")
     if USE_NUMBA or rs.size <= _LOOP_MAX_COLUMNS:
         out = np.zeros((nmax + 1, rs.shape[0]))
         _rows_kernel(nmax, rs, _start_order(nmax, rs), out)
         return out
-    if sizes is None or len(sizes) == 1:
-        return _rows_numpy(nmax, rs)
-    # Alone, a group of more than _LOOP_MAX_COLUMNS columns would start all of
-    # them at its highest start; a smaller one would run the loop, which
-    # starts each column at its own order and does the numpy kernel's
-    # arithmetic.
-    starts = _start_order(nmax, rs)
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    top = np.full(len(sizes), nmax + 1, dtype=np.int64)
-    np.maximum.at(top, group, starts)
-    shared = np.asarray(sizes)[group] > _LOOP_MAX_COLUMNS
-    starts[shared] = top[group[shared]]
-    return _rows_numpy(nmax, rs, starts)
+    return _rows_numpy(nmax, rs)
 
 
 # Truncation of Hankel's expansion: the first neglected term a_K(nu) / x0^K is

@@ -104,9 +104,9 @@ def _hankel_halves(p: FParams, nu: int, rs: list[float], level: int):
     """(sum over [0, pi/2), node count) of the Hankel integrand per r of ``rs``.
 
     The rows' meshes are concatenated, so F and the Bessel column are one
-    call per half whatever the number of rows.  Every node gets the values
-    it would get in a call for its row alone, and each row is summed over its
-    own slice, so a row's sum is bit for bit that of a one-row call.
+    call per half whatever the number of rows.  A node's F and Bessel values
+    depend on its own argument alone, and each row is summed over its own
+    slice, so a row's sum is bit for bit that of a one-row call.
     """
     meshes = [_half_mesh(r, p.alpha, level) for r in rs]
     two_r = 2.0 * np.array(rs)
@@ -119,7 +119,7 @@ def _hankel_halves(p: FParams, nu: int, rs: list[float], level: int):
         else:
             fvals, trig = f_eval_many(p, nodes), np.cos(nodes)
         terms = (np.concatenate([mesh[k + 1] for mesh in meshes]) * fvals
-                 * bessel_j_col(nu, np.repeat(two_r, sizes) * trig, sizes))
+                 * bessel_j_col(nu, np.repeat(two_r, sizes) * trig))
         ends = itertools.accumulate(sizes)
         return [float(np.sum(terms[end - size:end])) for size, end in zip(sizes, ends)]
 

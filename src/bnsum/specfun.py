@@ -9,7 +9,9 @@ mutated, and the per-(alpha, v) Lerch tables are cached read-only.
 A Bessel column ``bessel_j_col(nu, x)`` has two regimes: Hankel's
 large-argument expansion (DLMF 10.17.3) from ``kernels.hankel_x0(nu) =
 max(25, 2 nu^2)`` on, where its first neglected term is below 1e-17, and the
-backward recurrence of ``kernels.bessel_rows`` below that.
+backward recurrence of ``kernels.bessel_rows`` below that.  In both a value
+depends on its argument alone, so batching arguments cannot move one.
+Parameters are checked as ``not x > 0``, so that NaN is a ``DomainError``.
 """
 from __future__ import annotations
 
@@ -92,7 +94,7 @@ def digamma(x: float) -> float:
 
 def harmonic_extended(beta: float) -> float:
     """H_beta = psi(beta+1) + gamma for beta > -1."""
-    if beta <= -1.0:
+    if not beta > -1.0:
         raise DomainError("harmonic_extended requires beta > -1")
     return digamma(beta + 1.0) + EULER_GAMMA
 
@@ -101,7 +103,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta zeta(s, a), Euler-Maclaurin analytic continuation in s."""
     if s == 1.0:
         raise PoleError("hurwitz_zeta pole at s=1")
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("hurwitz_zeta requires a > 0")
     # A larger shift worsens cancellation for s << 0 (partial-sum terms grow
     # like x^{|s|}); keep x as small as the Bernoulli tail's convergence allows.
@@ -147,7 +149,7 @@ def _alternating_sum(term, n: int = 48) -> float:
 
 def phi_minus_one(s: float, a: float) -> float:
     """Phi(-1, s, a); finite at s=1 via the accelerated alternating series."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise DomainError("phi_minus_one requires a > 0")
     if s == 1.0:
         return _alternating_sum(lambda k: 1.0 / (k + a))
@@ -294,7 +296,7 @@ def lerch_unit(phi: float, alpha: float, v: float) -> complex:
     """Phi(-e^{2 i phi}, alpha, v) for phi in [0, pi], alpha > 0, v > 0."""
     if not (0.0 <= phi <= math.pi):
         raise DomainError("phi must lie in [0, pi]")
-    if alpha <= 0.0 or v <= 0.0:
+    if not (alpha > 0.0 and v > 0.0):
         raise DomainError("lerch_unit requires alpha > 0 and v > 0")
     if alpha <= 1.0 and phi == math.pi / 2.0:
         raise SingularityError("Phi(-e^{2i phi}, alpha, v) singular at phi=pi/2 for alpha <= 1")
@@ -303,7 +305,7 @@ def lerch_unit(phi: float, alpha: float, v: float) -> complex:
 
 def lerch_unit_series(phi: float, alpha: float, v: float, terms: int = 6000) -> complex:
     """Cross-check route: epsilon-accelerated partial sums of the defining series."""
-    if alpha <= 0.0 or v <= 0.0:
+    if not (alpha > 0.0 and v > 0.0):
         raise DomainError("lerch_unit_series requires alpha > 0 and v > 0")
     z = -np.exp(2j * phi)
     n = np.arange(terms)
@@ -333,13 +335,12 @@ def _wynn_epsilon(seq: np.ndarray) -> complex:
     return complex(best)
 
 
-def bessel_j_col(order: int, args: np.ndarray, sizes=None) -> np.ndarray:
+def bessel_j_col(order: int, args: np.ndarray) -> np.ndarray:
     """J_order at every (non-negative) argument of ``args``.
 
     Arguments from ``hankel_x0(order)`` on take Hankel's expansion; only the
-    others run the recurrence, which then starts near x0.  With ``sizes``,
-    ``args`` is the concatenation of groups of these sizes, and each gets,
-    bit for bit, the values of a call of its own.
+    others run the recurrence, which then starts near x0.  Each value depends
+    on its argument alone, whatever else the call holds.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -347,8 +348,5 @@ def bessel_j_col(order: int, args: np.ndarray, sizes=None) -> np.ndarray:
     large = args >= hankel_x0(order)
     out = np.empty(args.shape)
     out[large] = bessel_j_large(order, args[large])
-    if sizes is not None and len(sizes) > 1:
-        group = np.repeat(np.arange(len(sizes)), sizes)
-        sizes = np.bincount(group[~large], minlength=len(sizes))
-    out[~large] = bessel_rows(order, args[~large], sizes)[order]
+    out[~large] = bessel_rows(order, args[~large])[order]
     return out

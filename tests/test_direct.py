@@ -39,10 +39,9 @@ class TestBesselRows:
                 assert rows[n, j] == pytest.approx(want, abs=2e-15)
 
     def test_numpy_fallback_matches(self):
+        # both kernels start a column at its own order: bit for bit equal
         rs = np.array([0.5, 4.2, 33.0])
-        np.testing.assert_allclose(
-            bessel_rows(20, rs), kernels._rows_numpy(20, rs), rtol=0, atol=1e-15
-        )
+        assert np.array_equal(bessel_rows(20, rs), kernels._rows_numpy(20, rs))
 
     def test_loop_kernel(self, monkeypatch):
         # without numba the njit shim leaves _rows_kernel as plain Python;
@@ -50,7 +49,7 @@ class TestBesselRows:
         monkeypatch.setattr(kernels, "USE_NUMBA", True)
         rs = np.array([0.0, 0.3, 7.7, 80.0, 400.0])
         rows = bessel_rows(600, rs)
-        np.testing.assert_allclose(rows, kernels._rows_numpy(600, rs), rtol=0, atol=1e-15)
+        assert np.array_equal(rows, kernels._rows_numpy(600, rs))
         for j, r in enumerate(rs):
             for n in (0, 3, 90, 600):
                 want = float(mpmath.besselj(n, float(r)))
@@ -83,15 +82,24 @@ class TestBesselRows:
         bessel_rows(30, np.linspace(0.1, 40.0, 64))
         assert calls == [64]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_rejects_nonfinite_and_negative(self, bad, n):
+        # one column runs the loop, 64 the numpy kernel
+        rs = np.linspace(0.1, 40.0, n)
+        rs[n // 2] = bad
+        with pytest.raises(ValueError):
+            bessel_rows(30, rs)
+
     @pytest.mark.parametrize("nmax", [0, 1, 3, 40, 600])
     def test_groups_match_separate_calls_bitwise(self, nmax):
         # groups of at most 4 columns alone run the loop, larger ones the
-        # numpy kernel started at their highest order; an empty group too
+        # numpy kernel; an empty group too
         rng = np.random.default_rng(9)
         groups = [rng.uniform(0.0, 25.0, 30), np.array([0.0, 1e-60, 3.5, 17.0]),
                   np.array([]), 10.0 ** rng.uniform(-3.0, 2.5, 12), np.array([24.9]),
                   rng.uniform(0.0, 2.0, 6)]
-        rows = bessel_rows(nmax, np.concatenate(groups), [g.size for g in groups])
+        rows = bessel_rows(nmax, np.concatenate(groups))
         alone = np.concatenate([bessel_rows(nmax, g) for g in groups], axis=1)
         assert np.array_equal(rows, alone)
 

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsum import specfun
 from bnsum.errors import DomainError, PoleError, SingularityError
@@ -190,6 +192,34 @@ class TestBesselJCol:
             groups = [rng.uniform(0.0, 3.0 * x0, 40), rng.uniform(x0, 200.0, 20),
                       np.concatenate((rng.uniform(x0, 90.0, 10), [0.5, x0 / 2])),
                       np.array([]), rng.uniform(0.0, 0.6 * x0, 25)]
-            got = bessel_j_col(nu, np.concatenate(groups), [g.size for g in groups])
+            got = bessel_j_col(nu, np.concatenate(groups))
             alone = np.concatenate([bessel_j_col(nu, g) for g in groups])
             assert np.array_equal(got, alone), nu
+
+    @settings(max_examples=30, deadline=None)
+    @given(xs=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-60]), st.floats(0.0, 400.0)),
+                       min_size=1, max_size=40),
+           nmax=st.integers(0, 60), nu=st.integers(0, 9), data=st.data())
+    def test_value_depends_on_argument_alone(self, xs, nmax, nu, data):
+        # up to 4 arguments run the loop kernel, more the numpy kernel
+        perm = data.draw(st.permutations(range(len(xs))))
+        xs = np.array(xs)
+        rows, col = bessel_rows(nmax, xs), bessel_j_col(nu, xs)
+        assert np.array_equal(bessel_rows(nmax, xs[perm]), rows[:, perm])
+        assert np.array_equal(bessel_j_col(nu, xs[perm]), col[perm])
+        for j, x in enumerate(xs):
+            assert np.array_equal(bessel_rows(nmax, [x])[:, 0], rows[:, j]), x
+            assert bessel_j_col(nu, [x])[0] == col[j], x
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lerch_unit(1.0, 1.7, math.nan),
+    lambda: lerch_unit_series(1.0, math.nan, 1.3),
+    lambda: phi_minus_one(1.0, math.nan),
+    lambda: harmonic_extended(math.nan),
+    lambda: hurwitz_zeta(2.0, math.nan),
+], ids=["lerch_unit", "lerch_unit_series", "phi_minus_one", "harmonic_extended",
+        "hurwitz_zeta"])
+def test_nan_parameter_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
