@@ -26,9 +26,8 @@ import mpmath
 import numpy as np
 
 from bnsum.backend import USE_NUMBA
-from bnsum.kernels import _rows_numpy, bessel_rows
+from bnsum.kernels import _rows_numpy, bessel_j_col, bessel_rows
 from bnsum.quadrature import _half_mesh
-from bnsum.specfun import bessel_j_col
 
 
 def timeit(fn, *args, repeats=5):

@@ -16,10 +16,14 @@ Then, for the same three specs on a 10-row grid with r in [1, 100], it times
 a loop of ``eval_hankel`` calls against one ``eval_hankel_grid`` call (warm,
 best of ``repeats`` each).
 
+Last it times ``eval_lifted`` warm at beta = 0.3, m = 1, m' = 0, r = 50 for
+a in {0.5, 1.61, 2.9}, with its work (the distinct Hankel leaves' nodes).
+
 Exits 1 if a Hankel value differs from the oracle (``sum_series`` at tol
 1e-13) by more than 1e-8, or if it does not converge; if an exp2d value
-differs by more than 1e-7; and if a grid row's work differs from
-``eval_hankel``'s or its value by more than 1e-13 relative.
+differs by more than 1e-7; if a grid row's work differs from
+``eval_hankel``'s or its value by more than 1e-13 relative; and if a lifted
+value differs from the oracle by more than 1e-8 relative.
 
 Usage: python benchmarks/bench_hankel.py [repeats]
 """
@@ -35,7 +39,7 @@ import numpy as np
 from bnsum.backend import USE_NUMBA
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError
-from bnsum.quadrature import eval_exp2d, eval_hankel, eval_hankel_grid
+from bnsum.quadrature import eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
 
 RS = (5.0, 30.0, 100.0, 200.0, 400.0, 1000.0)
 SPECS = (SeriesSpec(-0.5, 0.0, 1, 0), SeriesSpec(-0.3, 0.2, 3, 2), SeriesSpec(-1.5, 0.5, 1, 0))
@@ -43,6 +47,8 @@ HANKEL_TOL = 1e-8
 EXP2D_SPECS = (SeriesSpec(-0.5, 0.0, 0, 0), SeriesSpec(-1.5, 0.5, 1, 0))
 EXP2D_RS, EXP2D_TOL = (90.0, 200.0), 1e-7
 GRID_RS, GRID_TOL = tuple(np.linspace(1.0, 100.0, 10)), 1e-13
+LIFTED_SPECS = tuple(SeriesSpec(a, 0.3, 1, 0) for a in (0.5, 1.61, 2.9))
+LIFTED_R, LIFTED_TOL = 50.0, 1e-8
 
 
 def oracle(spec: SeriesSpec, r: float) -> float:
@@ -104,9 +110,21 @@ def main() -> int:
         print(f"{spec.a:5.1f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} "
               f"{sum(h.work for h in rows):7d} {t_loop * 1e3:7.1f}ms {t_grid * 1e3:7.1f}ms "
               f"{rel:13.1e}{'' if same_work else '  WORK DIFFERS'}")
+
+    print(f"lifted at r={LIFTED_R:g}, warm:")
+    print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'work':>7s} {'warm':>9s} "
+          f"{'|lifted - oracle|':>18s}")
+    for spec in LIFTED_SPECS:
+        res, best = best_time(lambda: eval_lifted(spec, LIFTED_R), repeats)
+        want = oracle(spec, LIFTED_R)
+        dev = abs(res.value - want)
+        failed |= not dev <= LIFTED_TOL * abs(want)
+        print(f"{spec.a:5.2f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} "
+              f"{res.work:7d} {best * 1e3:7.1f}ms {dev:18.1e}")
     if failed:
-        print(f"FAIL: a value off the oracle (hankel {HANKEL_TOL:.0e}, exp2d {EXP2D_TOL:.0e}), "
-              f"not converged, or a grid row off eval_hankel (work, {GRID_TOL:.0e} relative)")
+        print(f"FAIL: a value off the oracle (hankel {HANKEL_TOL:.0e}, exp2d {EXP2D_TOL:.0e}, "
+              f"lifted {LIFTED_TOL:.0e} relative), not converged, or a grid row off "
+              f"eval_hankel (work, {GRID_TOL:.0e} relative)")
     return 1 if failed else 0
 
 

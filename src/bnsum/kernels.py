@@ -1,4 +1,4 @@
-"""Hot numeric kernels: integer-order Bessel J rows and large-argument columns.
+"""Hot numeric kernels: integer-order Bessel J rows and columns.
 
 ``bessel_rows(nmax, rs)`` returns a ``(nmax+1, len(rs))`` array with
 ``J_0(r)..J_nmax(r)`` per column.  The recurrence runs downward from a start
@@ -17,11 +17,13 @@ do the same arithmetic, so a column depends on its argument alone: whatever
 else a call holds and whichever kernel runs it, it is bit for bit the column
 of a one-argument call.
 
-A column ``J_nu(x)`` of one order over many arguments (the quadrature's
-``J_nu(2 r cos phi)``) has two regimes.  Below ``hankel_x0(nu)`` it is row
-``nu`` of ``bessel_rows``; from there on, where the recurrence would have to
-start above the largest argument, ``bessel_j_large`` sums Hankel's expansion
-(DLMF 10.17.3) in a fixed number of terms, the first neglected one below 1e-17.
+``bessel_j_col(nu, xs)``, a column of one order over many arguments (the
+quadrature's ``J_nu(2 r cos phi)``), has two regimes.  Below ``hankel_x0(nu)``
+it is row ``nu`` of ``bessel_rows``; from there on, where the recurrence would
+have to start above the largest argument, ``bessel_j_large`` sums Hankel's
+expansion (DLMF 10.17.3) in a fixed number of terms, the first neglected one
+below 1e-17.  In both a value depends on its argument alone, so batching
+arguments cannot move one.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .backend import USE_NUMBA, njit
+from .errors import DomainError
 
 _RESCALE = 1e250
 _INV_RESCALE = 1e-250
@@ -242,3 +245,20 @@ def bessel_j_large(order: int, xs: np.ndarray) -> np.ndarray:
     c = 1.0 if order % 4 in (0, 3) else -1.0
     s = 1.0 if order % 4 in (0, 1) else -1.0
     return (np.cos(xs) * (c * p + s * q) + np.sin(xs) * (s * p - c * q)) / np.sqrt(math.pi * xs)
+
+
+def bessel_j_col(order: int, args: np.ndarray) -> np.ndarray:
+    """J_order at every (non-negative) argument of ``args``.
+
+    Arguments from ``hankel_x0(order)`` on take Hankel's expansion; only the
+    others run the recurrence, which then starts near x0.  Each value depends
+    on its argument alone, whatever else the call holds.
+    """
+    if order < 0:
+        raise DomainError("order must be >= 0")
+    args = np.asarray(args, dtype=np.float64)
+    large = args >= hankel_x0(order)
+    out = np.empty(args.shape)
+    out[large] = bessel_j_large(order, args[large])
+    out[~large] = bessel_rows(order, args[~large])[order]
+    return out

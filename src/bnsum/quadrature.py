@@ -6,9 +6,10 @@ For a < 0 (weight exponent), the series equals
       = (2 i^{-mu} / pi^2) * Int_0^{pi/2} Int_0^pi e^{2 i r cos phi cos theta}
                                    F_{alpha,beta,mu}(phi) cos(nu theta) dphi dtheta
 
-with alpha = -a.  For a >= 0 the series is lifted to the a < 0 regime through
-the Bessel recurrence J_{l+m} = r (J_{l+m-1} + J_{l+m+1}) / (2 (l+m)) and a
-geometric split of (l+beta)^a / (l+m).
+with alpha = -a.  For a >= 0 the series is lifted to the a < 0 regime by the
+Bessel recurrence (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m)
+J_{l+m}, which lowers a by one at orders m-1, m+1 and m (order -1 is shifted
+back to 0 by l -> l+1): every leaf has exponent a - floor(a) - 1, alpha in (0, 1].
 
 The phi-singularity of F at pi/2 (order alpha-1 for alpha < 1, logarithmic at
 alpha = 1) is handled with a power-law substitution phi = pi/2 - u^{1/alpha}
@@ -16,6 +17,7 @@ resp. geometrically graded open panels; phi = pi/2 itself is never a node.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -24,8 +26,8 @@ import numpy as np
 from .direct import EvalResult, SeriesSpec, check_inputs
 from .errors import ConvergenceError, DomainError
 from .fseries import FParams, f_eval_many, f_eval_near_half_many
-from .kernels import bessel_rows
-from .specfun import bessel_j_col, gauss_panel_nodes as _panel_nodes
+from .kernels import bessel_j_col, bessel_rows
+from .specfun import gauss_panel_nodes as _panel_nodes
 
 HALF_PI = math.pi / 2.0
 _SING_WIDTH = 0.4  # size of the graded region left of pi/2
@@ -264,49 +266,36 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
 
 def eval_lifted(spec: SeriesSpec, r: float, *,
                 abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
-    """Lift a >= 0 to Hankel-representable exponents via the Bessel recurrence."""
+    """Lift a >= 0 to Hankel-representable exponents via the Bessel recurrence.
+
+    ``work`` is the sum of the distinct ``eval_hankel`` leaves' work, each
+    counted once however many terms of the reduction reach it.
+    """
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")
     check_inputs(r, abs_tol, rel_tol)
     if r == 0.0:
         raise DomainError("eval_lifted requires r > 0")
-    depth = int(math.floor(spec.a)) + 3
-    nmax = max(spec.m, spec.m_prime) + depth + 2
+    # the shift reads J_0 and J_{mp+1}, and mp <= m' + floor(a) < nmax
+    nmax = max(spec.m, spec.m_prime) + int(math.floor(spec.a)) + 2
     row = bessel_rows(nmax, np.array([r]))[:, 0]
-    memo: dict = {}
+    half_r = r / 2.0
+    leaf_work = []
 
-    def S(a: float, beta: float, m: int, mp: int):
-        key = (a, beta, m, mp)
-        if key in memo:
-            return memo[key]
+    @functools.cache
+    def S(a: float, beta: float, m: int, mp: int) -> tuple[float, float]:
+        """(value, err) of the series; err sums |coefficient| * leaf err_est."""
         if m < 0:  # m == -1: shift the summation index once
-            v, e, wk = S(a, beta + 1.0, 0, mp + 1)
-            v += row[0] * row[mp + 1] * (1.0 + beta) ** a
-            out = (v, e, wk)
-        elif a < 0.0:
+            value, err = S(a, beta + 1.0, 0, mp + 1)
+            return value + row[0] * row[mp + 1] * (1.0 + beta) ** a, err
+        if a < 0.0:
             res = eval_hankel(SeriesSpec(a, beta, m, mp), r, abs_tol=abs_tol, rel_tol=rel_tol)
-            out = (res.value, res.err_est, res.work)
-        else:
-            n = int(math.floor(a)) + 1
-            tot = 0.0
-            err = 0.0
-            wk = 0
-            half_r = r / 2.0
-            for i in range(n + 1):
-                c = (beta - m) ** i
-                for m_shift in (m - 1, m + 1):
-                    v, e, w_ = S(a - 1.0 - i, beta, m_shift, mp)
-                    tot += half_r * c * v
-                    err += abs(half_r * c) * e
-                    wk += w_
-            c = (beta - m) ** (n + 1)
-            v, e, w_ = S(a - 1.0 - n, beta, m, mp)
-            tot += c * v
-            err += abs(c) * e
-            wk += w_
-            out = (tot, err, wk)
-        memo[key] = out
-        return out
+            leaf_work.append(res.work)
+            return res.value, res.err_est
+        # (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m) J_{l+m}
+        down, up, same = (S(a - 1.0, beta, k, mp) for k in (m - 1, m + 1, m))
+        return (half_r * (down[0] + up[0]) + (beta - m) * same[0],
+                half_r * (down[1] + up[1]) + abs(beta - m) * same[1])
 
-    value, err, work = S(spec.a, spec.beta, spec.m, spec.m_prime)
-    return EvalResult(float(value), err, "lifted", work)  # Bessel row terms are numpy scalars
+    value, err = S(spec.a, spec.beta, spec.m, spec.m_prime)
+    return EvalResult(float(value), err, "lifted", sum(leaf_work))  # row terms are numpy scalars

@@ -1,17 +1,13 @@
 """Self-contained real/complex special-function kernel.
 
 Gamma, digamma, Hurwitz zeta (Euler-Maclaurin continuation), the Lerch
-transcendent on the unit circle, its value at -1, integer-order Bessel J
-columns and extended harmonic numbers.  Everything here is pure and
-reentrant; the Bernoulli/Gauss tables are built at import time and never
-mutated, and the per-(alpha, v) Lerch tables are cached read-only.
+transcendent on the unit circle, its value at -1 and extended harmonic
+numbers.  Everything here is pure and reentrant; the Bernoulli/Gauss tables
+are built at import time and never mutated, and the per-(alpha, v) Lerch
+tables are cached read-only.
 
-A Bessel column ``bessel_j_col(nu, x)`` has two regimes: Hankel's
-large-argument expansion (DLMF 10.17.3) from ``kernels.hankel_x0(nu) =
-max(25, 2 nu^2)`` on, where its first neglected term is below 1e-17, and the
-backward recurrence of ``kernels.bessel_rows`` below that.  In both a value
-depends on its argument alone, so batching arguments cannot move one.
-Parameters are checked as ``not x > 0``, so that NaN is a ``DomainError``.
+Parameters are checked as ``not x > 0`` or ``not abs(x) < inf``, so that
+NaN is a ``DomainError``.
 """
 from __future__ import annotations
 
@@ -22,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularityError
-from .kernels import bessel_j_large, bessel_rows, hankel_x0
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -101,6 +96,8 @@ def harmonic_extended(beta: float) -> float:
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """Hurwitz zeta zeta(s, a), Euler-Maclaurin analytic continuation in s."""
+    if not abs(s) < math.inf:
+        raise DomainError("hurwitz_zeta requires a finite s")
     if s == 1.0:
         raise PoleError("hurwitz_zeta pole at s=1")
     if not a > 0.0:
@@ -149,6 +146,8 @@ def _alternating_sum(term, n: int = 48) -> float:
 
 def phi_minus_one(s: float, a: float) -> float:
     """Phi(-1, s, a); finite at s=1 via the accelerated alternating series."""
+    if not abs(s) < math.inf:
+        raise DomainError("phi_minus_one requires a finite s")
     if not a > 0.0:
         raise DomainError("phi_minus_one requires a > 0")
     if s == 1.0:
@@ -305,6 +304,8 @@ def lerch_unit(phi: float, alpha: float, v: float) -> complex:
 
 def lerch_unit_series(phi: float, alpha: float, v: float, terms: int = 6000) -> complex:
     """Cross-check route: epsilon-accelerated partial sums of the defining series."""
+    if not abs(phi) < math.inf:
+        raise DomainError("lerch_unit_series requires a finite phi")
     if not (alpha > 0.0 and v > 0.0):
         raise DomainError("lerch_unit_series requires alpha > 0 and v > 0")
     z = -np.exp(2j * phi)
@@ -333,20 +334,3 @@ def _wynn_epsilon(seq: np.ndarray) -> complex:
                 break
             best = cur[-1]
     return complex(best)
-
-
-def bessel_j_col(order: int, args: np.ndarray) -> np.ndarray:
-    """J_order at every (non-negative) argument of ``args``.
-
-    Arguments from ``hankel_x0(order)`` on take Hankel's expansion; only the
-    others run the recurrence, which then starts near x0.  Each value depends
-    on its argument alone, whatever else the call holds.
-    """
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    args = np.asarray(args, dtype=np.float64)
-    large = args >= hankel_x0(order)
-    out = np.empty(args.shape)
-    out[large] = bessel_j_large(order, args[large])
-    out[~large] = bessel_rows(order, args[~large])[order]
-    return out

@@ -207,6 +207,10 @@ class TestLifted:
         (1.0, 0.0, 1, 0, 10.0),
         (2.0, 1.0, 2, 1, 8.0),
         (2.5, 0.0, 0, 0, 12.0),
+        (2.9, 0.3, 0, 3, 20.0),  # m = -1 shift with m' > m; leaf alpha 0.1
+        (1.6143, 0.3407, 0, 0, 13.43),
+        (0.9, -0.5, 3, 1, 40.0),
+        (4.5, 0.2, 0, 2, 40.0),
     ])
     def test_oracle_equivalence(self, case):
         a, b, m, mp, r = case
@@ -214,6 +218,20 @@ class TestLifted:
         want = oracle(a, b, m, mp, r)
         assert res.value == pytest.approx(want, abs=max(1e-6, 1e-6 * abs(want)))
         assert type(res.value) is float
+
+    def test_work_counts_each_leaf_once(self, monkeypatch):
+        leaves = []
+
+        def recorded(spec, r, **kwargs):
+            res = eval_hankel(spec, r, **kwargs)
+            leaves.append((spec, res.work))
+            return res
+
+        monkeypatch.setattr(quadrature, "eval_hankel", recorded)
+        res = eval_lifted(SeriesSpec(2.0, 0.5, 1, 0), 10.0)
+        specs = [spec for spec, _ in leaves]
+        assert len(set(specs)) == len(specs)
+        assert res.work == sum(work for _, work in leaves)
 
     def test_neumann_base_case(self):
         # a=0, m=m'=0: one recursion level reproduces (1 - J_0(r)^2)/2

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from bnsum import specfun
 from bnsum.errors import DomainError, PoleError, SingularityError
-from bnsum.kernels import bessel_rows, hankel_x0
+from bnsum.kernels import bessel_j_col, bessel_rows, hankel_x0
 from bnsum.specfun import (
     EULER_GAMMA,
-    bessel_j_col,
     digamma,
     gamma,
     harmonic_extended,
@@ -218,8 +217,15 @@ class TestBesselJCol:
     lambda: phi_minus_one(1.0, math.nan),
     lambda: harmonic_extended(math.nan),
     lambda: hurwitz_zeta(2.0, math.nan),
+    lambda: hurwitz_zeta(math.nan, 1.0),
+    lambda: hurwitz_zeta(math.inf, 1.0),
+    lambda: phi_minus_one(math.nan, 1.0),
+    lambda: phi_minus_one(-math.inf, 1.0),
+    lambda: lerch_unit_series(math.nan, 1.5, 1.0),
+    lambda: lerch_unit_series(math.inf, 1.5, 1.0),
 ], ids=["lerch_unit", "lerch_unit_series", "phi_minus_one", "harmonic_extended",
-        "hurwitz_zeta"])
+        "hurwitz_zeta", "hurwitz_zeta_s", "hurwitz_zeta_s_inf", "phi_minus_one_s",
+        "phi_minus_one_s_inf", "lerch_unit_series_phi", "lerch_unit_series_phi_inf"])
 def test_nan_parameter_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
