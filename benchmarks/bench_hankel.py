@@ -17,7 +17,9 @@ a loop of ``eval_hankel`` calls against one ``eval_hankel_grid`` call (warm,
 best of ``repeats`` each).
 
 Last it times ``eval_lifted`` warm at beta = 0.3, m = 1, m' = 0, r = 50 for
-a in {0.5, 1.61, 2.9}, with its work (the distinct Hankel leaves' nodes).
+a in {0.5, 1.61, 2.9}, with its work (the combined integrand's (term, node)
+products summed over the levels) and its ``err_est`` next to its distance
+from the oracle.
 
 Exits 1 if a Hankel value differs from the oracle (``sum_series`` at tol
 1e-13) by more than 1e-8, or if it does not converge; if an exp2d value
@@ -113,14 +115,14 @@ def main() -> int:
 
     print(f"lifted at r={LIFTED_R:g}, warm:")
     print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'work':>7s} {'warm':>9s} "
-          f"{'|lifted - oracle|':>18s}")
+          f"{'err_est':>9s} {'|lifted - oracle|':>18s}")
     for spec in LIFTED_SPECS:
         res, best = best_time(lambda: eval_lifted(spec, LIFTED_R), repeats)
         want = oracle(spec, LIFTED_R)
         dev = abs(res.value - want)
         failed |= not dev <= LIFTED_TOL * abs(want)
         print(f"{spec.a:5.2f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} "
-              f"{res.work:7d} {best * 1e3:7.1f}ms {dev:18.1e}")
+              f"{res.work:7d} {best * 1e3:7.1f}ms {res.err_est:9.1e} {dev:18.1e}")
     if failed:
         print(f"FAIL: a value off the oracle (hankel {HANKEL_TOL:.0e}, exp2d {EXP2D_TOL:.0e}, "
               f"lifted {LIFTED_TOL:.0e} relative), not converged, or a grid row off "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .specfun import lerch_local_many, lerch_unit_many
 
 HALF_PI = math.pi / 2.0
@@ -40,8 +40,6 @@ class FParams:
 def f_eval_many(p: FParams, phis: np.ndarray) -> np.ndarray:
     """Vectorized F over an array of angles in [0, pi]."""
     phis = np.asarray(phis, dtype=np.float64)
-    if p.alpha <= 1.0 and np.any(phis == HALF_PI):
-        raise SingularityError("F singular at phi=pi/2 for alpha <= 1")
     lam = lerch_unit_many(phis, p.alpha, p.beta + 1.0)
     return np.real(-np.exp(1j * phis * (p.mu + 2)) * lam)
 
@@ -56,8 +54,6 @@ def f_eval_near_half_many(p: FParams, eps: np.ndarray, side: int = 1) -> np.ndar
     eps = np.asarray(eps, dtype=np.float64)
     if side not in (1, -1):
         raise DomainError("side must be +1 (below pi/2) or -1 (above)")
-    if p.alpha <= 1.0 and np.any(eps == 0.0):
-        raise SingularityError("F singular at phi=pi/2 for alpha <= 1")
     lam = lerch_local_many(-2.0 * side * eps, p.alpha, p.beta + 1.0)
     phase = np.exp(1j * (HALF_PI - side * eps) * (p.mu + 2))
     return np.real(-phase * lam)

@@ -6,10 +6,10 @@ For a < 0 (weight exponent), the series equals
       = (2 i^{-mu} / pi^2) * Int_0^{pi/2} Int_0^pi e^{2 i r cos phi cos theta}
                                    F_{alpha,beta,mu}(phi) cos(nu theta) dphi dtheta
 
-with alpha = -a.  For a >= 0 the series is lifted to the a < 0 regime by the
-Bessel recurrence (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m)
-J_{l+m}, which lowers a by one at orders m-1, m+1 and m (order -1 is shifted
-back to 0 by l -> l+1): every leaf has exponent a - floor(a) - 1, alpha in (0, 1].
+with alpha = -a.  For a >= 0 the recurrence (l+beta) J_{l+m} = (r/2) (J_{l+m-1}
++ J_{l+m+1}) + (beta-m) J_{l+m} lowers a to a - floor(a) - 1 (alpha in (0, 1];
+order -1 is shifted back to 0 by l -> l+1, leaving a closed-form term): a
+constant plus a linear combination of Hankel integrands, one quadrature.
 
 The phi-singularity of F at pi/2 (order alpha-1 for alpha < 1, logarithmic at
 alpha = 1) is handled with a power-law substitution phi = pi/2 - u^{1/alpha}
@@ -17,9 +17,9 @@ resp. geometrically graded open panels; phi = pi/2 itself is never a node.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -102,31 +102,30 @@ def _half_mesh(r: float, alpha: float, level: int):
     return nodes, weights, eps_nodes, eps_weights
 
 
-def _hankel_halves(p: FParams, nu: int, rs: list[float], level: int):
-    """(sum over [0, pi/2), node count) of the Hankel integrand per r of ``rs``.
-
-    The rows' meshes are concatenated, so F and the Bessel column are one
-    call per half whatever the number of rows.  A node's F and Bessel values
-    depend on its own argument alone, and each row is summed over its own
-    slice, so a row's sum is bit for bit that of a one-row call.
+def _hankel_halves(alpha: float, terms, rs: list[float], level: int):
+    """(sum over [0, pi/2), product count) per r of ``rs`` of the integrand
+    sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, beta, mu, nu)
+    of ``terms``.  Each term's F and Bessel column are one call per half over
+    the rows' concatenated meshes; a node's values depend on its own argument
+    and each row sums its own slice, so a row's sum is that of a one-row call.
     """
-    meshes = [_half_mesh(r, p.alpha, level) for r in rs]
-    two_r = 2.0 * np.array(rs)
+    meshes = [_half_mesh(r, alpha, level) for r in rs]
 
-    def half(k: int, near: bool) -> list[float]:
+    def half(k: int, f_eval, trig) -> list[float]:
         nodes = np.concatenate([mesh[k] for mesh in meshes])
+        weights = np.concatenate([mesh[k + 1] for mesh in meshes])
         sizes = [mesh[k].size for mesh in meshes]
-        if near:  # cos(pi/2 - eps) = sin(eps), evaluated without forming phi
-            fvals, trig = f_eval_near_half_many(p, nodes), np.sin(nodes)
-        else:
-            fvals, trig = f_eval_many(p, nodes), np.cos(nodes)
-        terms = (np.concatenate([mesh[k + 1] for mesh in meshes]) * fvals
-                 * bessel_j_col(nu, np.repeat(two_r, sizes) * trig))
+        args = np.repeat(2.0 * np.array(rs), sizes) * trig(nodes)
+        products = (c * weights * f_eval(FParams(alpha, beta, mu), nodes) * bessel_j_col(nu, args)
+                    for c, beta, mu, nu in terms)
+        integrand = sum(products, next(products))  # a running sum; one term stays exact
         ends = itertools.accumulate(sizes)
-        return [float(np.sum(terms[end - size:end])) for size, end in zip(sizes, ends)]
+        return [float(np.sum(integrand[end - size:end])) for size, end in zip(sizes, ends)]
 
-    sums = zip(half(0, False), half(2, True), meshes)
-    return [(smooth + sing, mesh[0].size + mesh[2].size) for smooth, sing, mesh in sums]
+    # near pi/2 the node is eps, and cos(pi/2 - eps) = sin(eps) never forms phi
+    sums = zip(half(0, f_eval_many, np.cos), half(2, f_eval_near_half_many, np.sin), meshes)
+    return [(smooth + sing, len(terms) * (mesh[0].size + mesh[2].size))
+            for smooth, sing, mesh in sums]
 
 
 def _hankel_full(p: FParams, nu: int, r: float, level: int):
@@ -193,7 +192,8 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
     def evaluate(level, rows):
         r_rows = [rs[positive[i]] for i in rows]
         if use_parity:
-            sums = [(2.0 * raw, n) for raw, n in _hankel_halves(p, sp.nu, r_rows, level)]
+            halves = _hankel_halves(p.alpha, [(1.0, sp.beta, sp.mu, sp.nu)], r_rows, level)
+            sums = [(2.0 * raw, n) for raw, n in halves]
         else:
             sums = [_hankel_full(p, sp.nu, r, level) for r in r_rows]
         return [(sign / math.pi * raw, n, 0.0) for raw, n in sums]
@@ -266,10 +266,10 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
 
 def eval_lifted(spec: SeriesSpec, r: float, *,
                 abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
-    """Lift a >= 0 to Hankel-representable exponents via the Bessel recurrence.
+    """Lift a >= 0 to a Hankel-representable exponent via the Bessel recurrence.
 
-    ``work`` is the sum of the distinct ``eval_hankel`` leaves' work, each
-    counted once however many terms of the reduction reach it.
+    The lifted series is a constant plus a combination of Hankel integrands,
+    integrated as one quadrature; ``work`` counts its (term, node) products.
     """
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")
@@ -278,24 +278,29 @@ def eval_lifted(spec: SeriesSpec, r: float, *,
         raise DomainError("eval_lifted requires r > 0")
     # the shift reads J_0 and J_{mp+1}, and mp <= m' + floor(a) < nmax
     nmax = max(spec.m, spec.m_prime) + int(math.floor(spec.a)) + 2
-    row = bessel_rows(nmax, np.array([r]))[:, 0]
-    half_r = r / 2.0
-    leaf_work = []
+    row = bessel_rows(nmax, np.array([r]))[:, 0].tolist()
+    half_r, a, const = r / 2.0, spec.a, 0.0
+    combo = {(spec.beta, spec.m, spec.m_prime): 1.0}  # {(beta, m, m'): coefficient}
+    while a >= 0.0:
+        a -= 1.0
+        lowered = defaultdict(float)
+        for (beta, m, mp), c in combo.items():
+            # (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m) J_{l+m}
+            for k, coeff in ((m - 1, half_r), (m + 1, half_r), (m, beta - m)):
+                key = (beta, k, mp)
+                if k < 0:  # shift l -> l+1, which leaves the l = 1 term J_0 J_{mp+1}
+                    const += c * coeff * row[0] * row[mp + 1] * (1.0 + beta) ** a
+                    key = (beta + 1.0, 0, mp + 1)
+                lowered[key] += c * coeff
+        combo = {key: c for key, c in lowered.items() if c}
+    leaves = defaultdict(float)  # Hankel form (beta, mu, nu): (-1)^min(m, m') folded in c
+    for (beta, m, mp), c in combo.items():
+        leaves[beta, m + mp, abs(m - mp)] += (-1) ** min(m, mp) * c
+    terms = [(c, *key) for key, c in leaves.items()]
 
-    @functools.cache
-    def S(a: float, beta: float, m: int, mp: int) -> tuple[float, float]:
-        """(value, err) of the series; err sums |coefficient| * leaf err_est."""
-        if m < 0:  # m == -1: shift the summation index once
-            value, err = S(a, beta + 1.0, 0, mp + 1)
-            return value + row[0] * row[mp + 1] * (1.0 + beta) ** a, err
-        if a < 0.0:
-            res = eval_hankel(SeriesSpec(a, beta, m, mp), r, abs_tol=abs_tol, rel_tol=rel_tol)
-            leaf_work.append(res.work)
-            return res.value, res.err_est
-        # (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m) J_{l+m}
-        down, up, same = (S(a - 1.0, beta, k, mp) for k in (m - 1, m + 1, m))
-        return (half_r * (down[0] + up[0]) + (beta - m) * same[0],
-                half_r * (down[1] + up[1]) + abs(beta - m) * same[1])
+    def evaluate(level, _rows):
+        ((raw, n),) = _hankel_halves(-a, terms, [r], level)
+        return [(const + 2.0 / math.pi * raw, n, 0.0)]
 
-    value, err = S(spec.a, spec.beta, spec.m, spec.m_prime)
-    return EvalResult(float(value), err, "lifted", sum(leaf_work))  # row terms are numpy scalars
+    found = _converge(evaluate, 1, abs_tol, rel_tol, 16 * _MAX_PANELS * len(terms), "lifted")
+    return _single(found, "lifted")

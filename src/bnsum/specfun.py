@@ -250,7 +250,7 @@ def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
 
     Expansion of Phi(z, alpha, v) in log z = i*ell around z = 1; with
     z = -e^{2 i phi} this is ell = 2*phi - pi, the phi = pi/2 neighborhood.
-    The caller guarantees ell != 0 when alpha <= 1.
+    Raises SingularityError at ell == 0 when alpha <= 1.
     """
     ells = np.asarray(ells, dtype=np.float64)
     coeffs, alpha_int = _local_tables(alpha, v)
@@ -297,8 +297,6 @@ def lerch_unit(phi: float, alpha: float, v: float) -> complex:
         raise DomainError("phi must lie in [0, pi]")
     if not (alpha > 0.0 and v > 0.0):
         raise DomainError("lerch_unit requires alpha > 0 and v > 0")
-    if alpha <= 1.0 and phi == math.pi / 2.0:
-        raise SingularityError("Phi(-e^{2i phi}, alpha, v) singular at phi=pi/2 for alpha <= 1")
     return complex(lerch_unit_many(np.array([phi]), alpha, v)[0])
 
 

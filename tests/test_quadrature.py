@@ -211,6 +211,9 @@ class TestLifted:
         (1.6143, 0.3407, 0, 0, 13.43),
         (0.9, -0.5, 3, 1, 40.0),
         (4.5, 0.2, 0, 2, 40.0),
+        (2.0, 1.0, 1, 0, 10.0),  # integer beta == m: zero coefficients
+        (3.0, 0.0, 0, 2, 15.0),
+        (2.5, 0.5, 2, 1, 90.0),  # three steps, coefficients up to (r/2)^3
     ])
     def test_oracle_equivalence(self, case):
         a, b, m, mp, r = case
@@ -219,22 +222,34 @@ class TestLifted:
         assert res.value == pytest.approx(want, abs=max(1e-6, 1e-6 * abs(want)))
         assert type(res.value) is float
 
-    def test_work_counts_each_leaf_once(self, monkeypatch):
-        leaves = []
+    def test_runs_no_hankel_leaf(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval_lifted called eval_hankel")
 
-        def recorded(spec, r, **kwargs):
-            res = eval_hankel(spec, r, **kwargs)
-            leaves.append((spec, res.work))
-            return res
-
-        monkeypatch.setattr(quadrature, "eval_hankel", recorded)
+        monkeypatch.setattr(quadrature, "eval_hankel", refuse)
         res = eval_lifted(SeriesSpec(2.0, 0.5, 1, 0), 10.0)
-        specs = [spec for spec, _ in leaves]
-        assert len(set(specs)) == len(specs)
-        assert res.work == sum(work for _, work in leaves)
+        assert res.value == pytest.approx(oracle(2.0, 0.5, 1, 0, 10.0), rel=1e-6)
+
+    def test_one_quadrature_over_distinct_terms(self, monkeypatch):
+        calls = []
+        halves = quadrature._hankel_halves
+
+        def recorded(alpha, terms, rs, level):
+            calls.append((alpha, terms, rs, level))
+            return halves(alpha, terms, rs, level)
+
+        monkeypatch.setattr(quadrature, "_hankel_halves", recorded)
+        res = eval_lifted(SeriesSpec(2.0, 1.0, 1, 0), 10.0)  # beta == m
+        assert [level for *_, level in calls] == list(range(len(calls)))
+        terms = calls[0][1]
+        assert all(terms is call[1] for call in calls)
+        assert all(c != 0.0 for c, *_ in terms)
+        assert len({term[1:] for term in terms}) == len(terms)
+        meshes = [quadrature._half_mesh(rs[0], alpha, level) for alpha, _, rs, level in calls]
+        assert res.work == len(terms) * sum(mesh[0].size + mesh[2].size for mesh in meshes)
 
     def test_neumann_base_case(self):
-        # a=0, m=m'=0: one recursion level reproduces (1 - J_0(r)^2)/2
+        # a=0, m=m'=0: one lowering step reproduces (1 - J_0(r)^2)/2
         res = eval_lifted(SeriesSpec(0.0, 0.0, 0, 0), 5.0)
         want = oracle(0.0, 0.0, 0, 0, 5.0)
         assert res.value == pytest.approx(want, abs=1e-7)
