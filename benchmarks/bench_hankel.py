@@ -17,9 +17,10 @@ a loop of ``eval_hankel`` calls against one ``eval_hankel_grid`` call (warm,
 best of ``repeats`` each).
 
 Last it times ``eval_lifted`` warm at beta = 0.3, m = 1, m' = 0, r = 50 for
-a in {0.5, 1.61, 2.9}, with its work (the combined integrand's (term, node)
-products summed over the levels) and its ``err_est`` next to its distance
-from the oracle.
+a in {0.5, 1.61, 2.9}, and at beta = 0, m = m' = 0, r = 5 for the large
+exponents a in {10, 20, 40}, whose lowering gives 78 to 903 terms, with its
+work (the combined integrand's (term, node) products summed over the levels)
+and its ``err_est`` next to its distance from the oracle.
 
 Exits 1 if a Hankel value differs from the oracle (``sum_series`` at tol
 1e-13) by more than 1e-8, or if it does not converge; if an exp2d value
@@ -49,8 +50,9 @@ HANKEL_TOL = 1e-8
 EXP2D_SPECS = (SeriesSpec(-0.5, 0.0, 0, 0), SeriesSpec(-1.5, 0.5, 1, 0))
 EXP2D_RS, EXP2D_TOL = (90.0, 200.0), 1e-7
 GRID_RS, GRID_TOL = tuple(np.linspace(1.0, 100.0, 10)), 1e-13
-LIFTED_SPECS = tuple(SeriesSpec(a, 0.3, 1, 0) for a in (0.5, 1.61, 2.9))
-LIFTED_R, LIFTED_TOL = 50.0, 1e-8
+LIFTED_CASES = (tuple((SeriesSpec(a, 0.3, 1, 0), 50.0) for a in (0.5, 1.61, 2.9))
+                + tuple((SeriesSpec(a, 0.0, 0, 0), 5.0) for a in (10.0, 20.0, 40.0)))
+LIFTED_TOL = 1e-8
 
 
 def oracle(spec: SeriesSpec, r: float) -> float:
@@ -113,16 +115,17 @@ def main() -> int:
               f"{sum(h.work for h in rows):7d} {t_loop * 1e3:7.1f}ms {t_grid * 1e3:7.1f}ms "
               f"{rel:13.1e}{'' if same_work else '  WORK DIFFERS'}")
 
-    print(f"lifted at r={LIFTED_R:g}, warm:")
-    print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'work':>7s} {'warm':>9s} "
+    print("lifted, warm:")
+    print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'r':>3s} {'work':>7s} {'warm':>9s} "
           f"{'err_est':>9s} {'|lifted - oracle|':>18s}")
-    for spec in LIFTED_SPECS:
-        res, best = best_time(lambda: eval_lifted(spec, LIFTED_R), repeats)
-        want = oracle(spec, LIFTED_R)
+    for spec, r in LIFTED_CASES:
+        res, best = best_time(lambda: eval_lifted(spec, r), repeats)
+        want = oracle(spec, r)
         dev = abs(res.value - want)
         failed |= not dev <= LIFTED_TOL * abs(want)
-        print(f"{spec.a:5.2f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} "
-              f"{res.work:7d} {best * 1e3:7.1f}ms {res.err_est:9.1e} {dev:18.1e}")
+        print(f"{spec.a:5.2f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} {r:3g} "
+              f"{res.work:7d} {best * 1e3:7.1f}ms {res.err_est:9.1e} {dev:18.1e}"
+              f"  ({dev / abs(want):.1e} relative)")
     if failed:
         print(f"FAIL: a value off the oracle (hankel {HANKEL_TOL:.0e}, exp2d {EXP2D_TOL:.0e}, "
               f"lifted {LIFTED_TOL:.0e} relative), not converged, or a grid row off "

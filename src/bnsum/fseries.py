@@ -37,11 +37,23 @@ class FParams:
             raise DomainError("FParams requires mu >= 0")
 
 
+def lerch_factor(alpha: float, beta: float, nodes: np.ndarray, side: int = 0):
+    """F's Lerch factor Phi(-e^{2 i phi}, alpha, beta+1), which is free of mu,
+    and phi: at phi = ``nodes`` (side 0) or pi/2 - side*eps, eps = ``nodes``."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    if not side:
+        return lerch_unit_many(nodes, alpha, beta + 1.0), nodes
+    return lerch_local_many(-2.0 * side * nodes, alpha, beta + 1.0), HALF_PI - side * nodes
+
+
+def f_phase(lam: np.ndarray, phis: np.ndarray, mu: int) -> np.ndarray:
+    """F = Re(-e^{i phi (mu+2)} lam) from its Lerch factor ``lam`` at ``phis``."""
+    return np.real(-np.exp(1j * phis * (mu + 2)) * lam)
+
+
 def f_eval_many(p: FParams, phis: np.ndarray) -> np.ndarray:
     """Vectorized F over an array of angles in [0, pi]."""
-    phis = np.asarray(phis, dtype=np.float64)
-    lam = lerch_unit_many(phis, p.alpha, p.beta + 1.0)
-    return np.real(-np.exp(1j * phis * (p.mu + 2)) * lam)
+    return f_phase(*lerch_factor(p.alpha, p.beta, phis), p.mu)
 
 
 def f_eval_near_half_many(p: FParams, eps: np.ndarray, side: int = 1) -> np.ndarray:
@@ -51,9 +63,6 @@ def f_eval_near_half_many(p: FParams, eps: np.ndarray, side: int = 1) -> np.ndar
     through phi, so nodes closer to pi/2 than one ulp stay distinguishable.
     Requires |eps| below the convergence range of the local expansion (< pi).
     """
-    eps = np.asarray(eps, dtype=np.float64)
     if side not in (1, -1):
         raise DomainError("side must be +1 (below pi/2) or -1 (above)")
-    lam = lerch_local_many(-2.0 * side * eps, p.alpha, p.beta + 1.0)
-    phase = np.exp(1j * (HALF_PI - side * eps) * (p.mu + 2))
-    return np.real(-phase * lam)
+    return f_phase(*lerch_factor(p.alpha, p.beta, eps, side), p.mu)

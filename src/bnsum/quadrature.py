@@ -25,7 +25,7 @@ import numpy as np
 
 from .direct import EvalResult, SeriesSpec, check_inputs
 from .errors import ConvergenceError, DomainError
-from .fseries import FParams, f_eval_many, f_eval_near_half_many
+from .fseries import FParams, f_eval_many, f_eval_near_half_many, f_phase, lerch_factor
 from .kernels import bessel_j_col, bessel_rows
 from .specfun import gauss_panel_nodes as _panel_nodes
 
@@ -105,25 +105,28 @@ def _half_mesh(r: float, alpha: float, level: int):
 def _hankel_halves(alpha: float, terms, rs: list[float], level: int):
     """(sum over [0, pi/2), product count) per r of ``rs`` of the integrand
     sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, beta, mu, nu)
-    of ``terms``.  Each term's F and Bessel column are one call per half over
-    the rows' concatenated meshes; a node's values depend on its own argument
-    and each row sums its own slice, so a row's sum is that of a one-row call.
+    of ``terms``.  Per half, over the rows' concatenated meshes, each distinct
+    beta gets one Lerch factor of F and all orders share one Bessel call; a
+    node's values depend on its own argument and each row sums its own slice,
+    so a row's sum is that of a one-row call.
     """
     meshes = [_half_mesh(r, alpha, level) for r in rs]
 
-    def half(k: int, f_eval, trig) -> list[float]:
+    def half(k: int, side: int, trig) -> list[float]:
         nodes = np.concatenate([mesh[k] for mesh in meshes])
         weights = np.concatenate([mesh[k + 1] for mesh in meshes])
         sizes = [mesh[k].size for mesh in meshes]
         args = np.repeat(2.0 * np.array(rs), sizes) * trig(nodes)
-        products = (c * weights * f_eval(FParams(alpha, beta, mu), nodes) * bessel_j_col(nu, args)
-                    for c, beta, mu, nu in terms)
+        orders = sorted({t[3] for t in terms})
+        cols = dict(zip(orders, bessel_j_col(orders, args)))
+        lams = {beta: lerch_factor(alpha, beta, nodes, side) for beta in {t[1] for t in terms}}
+        products = (c * weights * f_phase(*lams[beta], mu) * cols[nu] for c, beta, mu, nu in terms)
         integrand = sum(products, next(products))  # a running sum; one term stays exact
         ends = itertools.accumulate(sizes)
         return [float(np.sum(integrand[end - size:end])) for size, end in zip(sizes, ends)]
 
     # near pi/2 the node is eps, and cos(pi/2 - eps) = sin(eps) never forms phi
-    sums = zip(half(0, f_eval_many, np.cos), half(2, f_eval_near_half_many, np.sin), meshes)
+    sums = zip(half(0, 0, np.cos), half(2, 1, np.sin), meshes)
     return [(smooth + sing, len(terms) * (mesh[0].size + mesh[2].size))
             for smooth, sing, mesh in sums]
 
@@ -145,9 +148,10 @@ def _hankel_full(p: FParams, nu: int, r: float, level: int):
 def _converge(evaluate, count: int, abs_tol: float, rel_tol: float,
               max_nodes: int, tag: str) -> list[EvalResult | None]:
     """Refine ``count`` rows level by level, each until it meets its own
-    tolerance; ``None`` for a row that does not within 7 levels or stops at
-    ``max_nodes``.  ``evaluate(level, rows)`` returns (value, nodes, extra
-    error) for each row index of ``rows``, the rows still refining."""
+    tolerance; ``None`` for a row that does not within 7 levels, stops at
+    ``max_nodes`` or has a value that is not finite.  ``evaluate(level,
+    rows)`` returns (value, nodes, extra error) for each row index of
+    ``rows``, the rows still refining."""
     results: list[EvalResult | None] = [None] * count
     prev: list[float | None] = [None] * count
     work = [0] * count
@@ -163,10 +167,10 @@ def _converge(evaluate, count: int, abs_tol: float, rel_tol: float,
                 if err <= max(abs_tol, rel_tol * abs(value)):
                     results[i] = EvalResult(value, err, tag, work[i])
                     continue
-                if n_nodes > max_nodes:
-                    continue
-            prev[i] = value
-            refining.append(i)
+            # no finer level mends a value that is not finite
+            if math.isfinite(value) and (prev[i] is None or n_nodes <= max_nodes):
+                prev[i] = value
+                refining.append(i)
         live = refining
     return results
 

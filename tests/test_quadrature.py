@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bnsum import quadrature
+from bnsum import fseries, kernels, quadrature
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError, DomainError
 from bnsum.fseries import FParams, f_eval_many, f_eval_near_half_many
@@ -21,6 +21,19 @@ class TestConfig:
             eval_hankel(SeriesSpec(-1.5, 0.5, 1, 0), 5.0, abs_tol=0.0)
         with pytest.raises(DomainError):
             eval_hankel(SeriesSpec(-1.5, 0.5, 1, 0), 5.0, rel_tol=math.nan)
+
+
+class TestConverge:
+    def test_non_finite_row_ends_at_once(self):
+        calls = []
+
+        def evaluate(level, rows):
+            calls.append(list(rows))
+            return [(math.nan if i == 0 else 1.0, 1, 0.0) for i in rows]
+
+        found = quadrature._converge(evaluate, 2, 1e-9, 1e-7, 1 << 20, "test")
+        assert found[0] is None and found[1].value == 1.0
+        assert calls == [[0, 1], [1]]
 
 
 class TestHankel:
@@ -247,6 +260,51 @@ class TestLifted:
         assert len({term[1:] for term in terms}) == len(terms)
         meshes = [quadrature._half_mesh(rs[0], alpha, level) for alpha, _, rs, level in calls]
         assert res.work == len(terms) * sum(mesh[0].size + mesh[2].size for mesh in meshes)
+
+    def test_one_lerch_factor_per_beta_and_one_recurrence_per_half(self, monkeypatch):
+        events, level_terms = [], []
+        halves = quadrature._hankel_halves
+
+        def level(alpha, terms, rs, lvl):
+            events.append("|")
+            level_terms.append(terms)
+            return halves(alpha, terms, rs, lvl)
+
+        def counted(tag, fn):
+            def wrapper(*args):
+                events.append(tag)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "_hankel_halves", level)
+        monkeypatch.setattr(fseries, "lerch_unit_many", counted("u", fseries.lerch_unit_many))
+        monkeypatch.setattr(fseries, "lerch_local_many", counted("l", fseries.lerch_local_many))
+        monkeypatch.setattr(kernels, "bessel_rows", counted("r", kernels.bessel_rows))
+        eval_lifted(SeriesSpec(2.9, 0.3, 0, 3), 20.0)
+        betas = len({beta for _, beta, _, _ in level_terms[0]})
+        assert len(level_terms[0]) > betas > 1  # 10 terms over 4 beta
+        per_level = "".join(events).split("|")[1:]
+        assert len(per_level) == len(level_terms) >= 2
+        for seq in per_level:  # the smooth half's calls, then the eps half's
+            cut = seq.rindex("u") + 1
+            smooth, sing = seq[:cut], seq[cut:]
+            assert smooth.count("u") == betas and smooth.count("r") <= 1, seq
+            assert sing.count("l") == betas and sing.count("r") <= 1 and "l" not in smooth, seq
+
+    def test_non_finite_level_raises_at_once(self, monkeypatch):
+        # a = 200 at r = 5: the lowered combination overflows, so the value is
+        # NaN from level 0 on; no finer level can mend that
+        levels = []
+        halves = quadrature._hankel_halves
+
+        def recorded(alpha, terms, rs, level):
+            levels.append(level)
+            return halves(alpha, terms, rs, level)
+
+        monkeypatch.setattr(quadrature, "_hankel_halves", recorded)
+        with pytest.raises(ConvergenceError), np.errstate(over="ignore", invalid="ignore"):
+            eval_lifted(SeriesSpec(200.0, 0.0, 0, 0), 5.0)
+        assert levels == [0]
 
     def test_neumann_base_case(self):
         # a=0, m=m'=0: one lowering step reproduces (1 - J_0(r)^2)/2

@@ -182,6 +182,26 @@ class TestBesselJCol:
             xs = np.concatenate(([0.0, 1e-60], rng.uniform(0.0, hankel_x0(nu), 30)))
             assert np.array_equal(bessel_j_col(nu, xs), bessel_rows(nu, xs)[nu]), nu
 
+    def test_many_orders_match_one_order_columns(self):
+        # arguments on both sides of every order's x0, up to 2,000
+        rng = np.random.default_rng(11)
+        orders = list(range(10))
+        x0s = np.array([hankel_x0(nu) for nu in orders])
+        xs = np.concatenate((np.multiply.outer(x0s, [1.0 - 1e-12, 1.0, 1.0 + 1e-12]).ravel(),
+                             [0.0, 1e-60], rng.uniform(0.0, 200.0, 100),
+                             rng.uniform(0.0, 2000.0, 100)))
+        cols = bessel_j_col(orders, xs)
+        assert cols.shape == (len(orders), xs.size)
+        for nu, col in zip(orders, cols):
+            one = bessel_j_col(nu, xs)
+            assert np.max(np.abs(col - one)) <= 2e-15, nu
+            below = xs < hankel_x0(nu)
+            assert np.array_equal(one[below], bessel_rows(nu, xs[below])[nu]), nu
+            assert np.array_equal(col[~below], one[~below]), nu  # Hankel's expansion
+            assert np.array_equal(bessel_j_col([nu], xs)[0], one), nu
+        # a column depends on the largest order of the call, not on the others
+        assert np.array_equal(bessel_j_col([9, 2], xs), cols[[9, 2]])
+
     def test_groups_match_separate_calls_bitwise(self):
         # a quadrature grid's rows: each group mixes both regimes, one has no
         # argument below x0, one has too few for the numpy kernel
