@@ -2,14 +2,15 @@
 
 For a < 0 (weight exponent), the series equals
 
-    S = ((-1)^m' / pi) * Int_0^pi J_nu(2 r cos phi) F_{alpha,beta,mu}(phi) dphi
+    S = ((-1)^min(m,m') / pi) * Int_0^pi J_nu(2 r cos phi) F_{alpha,beta,mu}(phi) dphi
       = (2 i^{-mu} / pi^2) * Int_0^{pi/2} Int_0^pi e^{2 i r cos phi cos theta}
                                    F_{alpha,beta,mu}(phi) cos(nu theta) dphi dtheta
 
-with alpha = -a.  For a >= 0 the recurrence (l+beta) J_{l+m} = (r/2) (J_{l+m-1}
-+ J_{l+m+1}) + (beta-m) J_{l+m} lowers a to a - floor(a) - 1 (alpha in (0, 1];
-order -1 is shifted back to 0 by l -> l+1, leaving a closed-form term): a
-constant plus a linear combination of Hankel integrands, one quadrature.
+with alpha = -a, mu = m+m', nu = |m-m'|.  For a >= 0 each step of the
+recurrence (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m) J_{l+m}
+lowers a by one, to alpha = -a in (0, 1] (order -1 is shifted back to 0 by
+l -> l+1, leaving a closed-form term): a constant plus a linear combination of
+Hankel integrands.  a < 0 is the case of no step, so both run one quadrature.
 
 The phi-singularity of F at pi/2 (order alpha-1 for alpha < 1, logarithmic at
 alpha = 1) is handled with a power-law substitution phi = pi/2 - u^{1/alpha}
@@ -62,14 +63,6 @@ def _pieces(widths: np.ndarray, r: float, level: int, least: int = 1) -> np.ndar
     return np.maximum(least, np.ceil(widths / cap)).astype(np.int64) << level
 
 
-def _bessel_signed(order: int, args: np.ndarray) -> np.ndarray:
-    """J_order at real arguments of either sign (J_n(-x) = (-1)^n J_n(x))."""
-    vals = bessel_j_col(order, np.abs(args))
-    if order % 2:
-        vals = np.where(args < 0.0, -vals, vals)
-    return vals
-
-
 def _half_mesh(r: float, alpha: float, level: int):
     """Quadrature rule for [0, pi/2) split at pi/2 - 0.4.
 
@@ -102,15 +95,46 @@ def _half_mesh(r: float, alpha: float, level: int):
     return nodes, weights, eps_nodes, eps_weights
 
 
-def _hankel_halves(alpha: float, terms, rs: list[float], level: int):
+def _lower(spec: SeriesSpec, r: float):
+    """(alpha, const, terms) of the module docstring's lowering at r:
+    S = const + (2/pi) sum c Int_0^{pi/2} F_{alpha,beta,mu}(phi) J_nu(2 r cos phi)
+    over the (c, beta, mu, nu) of ``terms``, with (-1)^min(m, m') folded into c."""
+    half_r, a, const = r / 2.0, spec.a, 0.0
+    combo = {(spec.beta, spec.m, spec.m_prime): 1.0}  # {(beta, m, m'): coefficient}
+    if a >= 0.0:  # the shift reads J_0 and J_{mp+1}, and mp <= m' + floor(a) < nmax
+        nmax = max(spec.m, spec.m_prime) + int(math.floor(a)) + 2
+        row = bessel_rows(nmax, np.array([r]))[:, 0].tolist()
+    while a >= 0.0:
+        a -= 1.0
+        lowered = defaultdict(float)
+        for (beta, m, mp), c in combo.items():
+            for k, coeff in ((m - 1, half_r), (m + 1, half_r), (m, beta - m)):
+                key = (beta, k, mp)
+                if k < 0:  # shift l -> l+1, which leaves the l = 1 term J_0 J_{mp+1}
+                    const += c * coeff * row[0] * row[mp + 1] * (1.0 + beta) ** a
+                    key = (beta + 1.0, 0, mp + 1)
+                lowered[key] += c * coeff
+        combo = {key: c for key, c in lowered.items() if c}
+    leaves = defaultdict(float)  # Hankel form (beta, mu, nu): (-1)^min(m, m') folded in c
+    for (beta, m, mp), c in combo.items():
+        leaves[beta, m + mp, abs(m - mp)] += (-1) ** min(m, mp) * c
+    return -a, const, [(c, *key) for key, c in leaves.items()]
+
+
+def _hankel_halves(alpha: float, terms, rs: list[float], level: int, mirror: bool = False):
     """(sum over [0, pi/2), product count) per r of ``rs`` of the integrand
     sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, beta, mu, nu)
     of ``terms``.  Per half, over the rows' concatenated meshes, each distinct
     beta gets one Lerch factor of F and all orders share one Bessel call; a
     node's values depend on its own argument and each row sums its own slice,
     so a row's sum is that of a one-row call.
+
+    With ``mirror`` the sum is over (pi/2, pi]: F at pi - phi resp. on eps side
+    -1, with J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
     """
     meshes = [_half_mesh(r, alpha, level) for r in rs]
+    if mirror:
+        terms = [(-c if nu % 2 else c, beta, mu, nu) for c, beta, mu, nu in terms]
 
     def half(k: int, side: int, trig) -> list[float]:
         nodes = np.concatenate([mesh[k] for mesh in meshes])
@@ -119,7 +143,10 @@ def _hankel_halves(alpha: float, terms, rs: list[float], level: int):
         args = np.repeat(2.0 * np.array(rs), sizes) * trig(nodes)
         orders = sorted({t[3] for t in terms})
         cols = dict(zip(orders, bessel_j_col(orders, args)))
-        lams = {beta: lerch_factor(alpha, beta, nodes, side) for beta in {t[1] for t in terms}}
+        f_at, f_side = nodes, side
+        if mirror:
+            f_at, f_side = (nodes, -1) if side else (math.pi - nodes, 0)
+        lams = {beta: lerch_factor(alpha, beta, f_at, f_side) for beta in {t[1] for t in terms}}
         products = (c * weights * f_phase(*lams[beta], mu) * cols[nu] for c, beta, mu, nu in terms)
         integrand = sum(products, next(products))  # a running sum; one term stays exact
         ends = itertools.accumulate(sizes)
@@ -129,20 +156,6 @@ def _hankel_halves(alpha: float, terms, rs: list[float], level: int):
     sums = zip(half(0, 0, np.cos), half(2, 1, np.sin), meshes)
     return [(smooth + sing, len(terms) * (mesh[0].size + mesh[2].size))
             for smooth, sing, mesh in sums]
-
-
-def _hankel_full(p: FParams, nu: int, r: float, level: int):
-    # Mirror of the half mesh onto (pi/2, pi]; F evaluated there directly so
-    # the parity-reduction identity can be tested against this route.
-    nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
-    total = 0.0
-    for sgn in (1, -1):
-        phi = nodes if sgn == 1 else math.pi - nodes
-        jv = _bessel_signed(nu, 2.0 * r * np.cos(phi))
-        total += float(np.sum(weights * f_eval_many(p, phi) * jv))
-        je = _bessel_signed(nu, 2.0 * r * sgn * np.sin(eps))
-        total += float(np.sum(eps_w * f_eval_near_half_many(p, eps, side=sgn) * je))
-    return total, 2 * (nodes.size + eps.size)
 
 
 def _converge(evaluate, count: int, abs_tol: float, rel_tol: float,
@@ -182,37 +195,35 @@ def _single(results: list[EvalResult | None], tag: str) -> EvalResult:
 
 
 def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
-            rel_tol: float) -> list[EvalResult | None]:
-    if spec.a >= 0.0:
-        raise DomainError("eval_hankel requires a < 0")
+            rel_tol: float, tag: str) -> list[EvalResult | None]:
+    """``spec``'s series at each r of ``rs`` by its Hankel form, ``None`` where it does
+    not converge; without ``use_parity`` each level averages [0, pi/2) and (pi/2, pi]."""
     rs = [float(r) for r in rs]
     for r in rs:
         check_inputs(r, abs_tol, rel_tol)
-    sp = spec.canonical()
-    p = FParams(-sp.a, sp.beta, sp.mu)
-    sign = -1.0 if sp.m_prime % 2 else 1.0
+    # r enters the lowering only for a >= 0, where eval_lifted passes one r
+    alpha, const, terms = _lower(spec, rs[0] if rs else 0.0)
     positive = [i for i, r in enumerate(rs) if r > 0.0]
 
     def evaluate(level, rows):
         r_rows = [rs[positive[i]] for i in rows]
-        if use_parity:
-            halves = _hankel_halves(p.alpha, [(1.0, sp.beta, sp.mu, sp.nu)], r_rows, level)
-            sums = [(2.0 * raw, n) for raw, n in halves]
-        else:
-            sums = [_hankel_full(p, sp.nu, r, level) for r in r_rows]
-        return [(sign / math.pi * raw, n, 0.0) for raw, n in sums]
+        sums = _hankel_halves(alpha, terms, r_rows, level)
+        if not use_parity:
+            mirrored = _hankel_halves(alpha, terms, r_rows, level, mirror=True)
+            sums = [((raw + back) / 2.0, n + n2) for (raw, n), (back, n2) in zip(sums, mirrored)]
+        return [(const + 2.0 / math.pi * raw, n, 0.0) for raw, n in sums]
 
-    out = [EvalResult(0.0, 0.0, "hankel", 0)] * len(rs)
-    found = _converge(evaluate, len(positive), abs_tol, rel_tol, 16 * _MAX_PANELS, "hankel")
-    for i, res in zip(positive, found):
-        out[i] = res
-    return out
+    found = iter(_converge(evaluate, len(positive), abs_tol, rel_tol,
+                           16 * _MAX_PANELS * len(terms), tag))
+    return [next(found) if r > 0.0 else EvalResult(0.0, 0.0, tag, 0) for r in rs]
 
 
 def eval_hankel(spec: SeriesSpec, r: float, *, use_parity: bool = True,
                 abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """One-dimensional Hankel-transform route; requires a < 0."""
-    return _single(_hankel(spec, [r], use_parity, abs_tol, rel_tol), "hankel")
+    if spec.a >= 0.0:
+        raise DomainError("eval_hankel requires a < 0")
+    return _single(_hankel(spec, [r], use_parity, abs_tol, rel_tol, "hankel"), "hankel")
 
 
 def eval_hankel_grid(spec: SeriesSpec, rs, *, abs_tol: float = ABS_TOL,
@@ -223,7 +234,9 @@ def eval_hankel_grid(spec: SeriesSpec, rs, *, abs_tol: float = ABS_TOL,
     as ``eval_hankel``; ``None`` marks a row that did not converge.  Every r
     is checked before any quadrature runs.
     """
-    return _hankel(spec, rs, True, abs_tol, rel_tol)
+    if spec.a >= 0.0:
+        raise DomainError("eval_hankel requires a < 0")
+    return _hankel(spec, rs, True, abs_tol, rel_tol, "hankel")
 
 
 def _theta_rule(r: float, nu: int, level: int):
@@ -277,34 +290,6 @@ def eval_lifted(spec: SeriesSpec, r: float, *,
     """
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")
-    check_inputs(r, abs_tol, rel_tol)
     if r == 0.0:
         raise DomainError("eval_lifted requires r > 0")
-    # the shift reads J_0 and J_{mp+1}, and mp <= m' + floor(a) < nmax
-    nmax = max(spec.m, spec.m_prime) + int(math.floor(spec.a)) + 2
-    row = bessel_rows(nmax, np.array([r]))[:, 0].tolist()
-    half_r, a, const = r / 2.0, spec.a, 0.0
-    combo = {(spec.beta, spec.m, spec.m_prime): 1.0}  # {(beta, m, m'): coefficient}
-    while a >= 0.0:
-        a -= 1.0
-        lowered = defaultdict(float)
-        for (beta, m, mp), c in combo.items():
-            # (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m) J_{l+m}
-            for k, coeff in ((m - 1, half_r), (m + 1, half_r), (m, beta - m)):
-                key = (beta, k, mp)
-                if k < 0:  # shift l -> l+1, which leaves the l = 1 term J_0 J_{mp+1}
-                    const += c * coeff * row[0] * row[mp + 1] * (1.0 + beta) ** a
-                    key = (beta + 1.0, 0, mp + 1)
-                lowered[key] += c * coeff
-        combo = {key: c for key, c in lowered.items() if c}
-    leaves = defaultdict(float)  # Hankel form (beta, mu, nu): (-1)^min(m, m') folded in c
-    for (beta, m, mp), c in combo.items():
-        leaves[beta, m + mp, abs(m - mp)] += (-1) ** min(m, mp) * c
-    terms = [(c, *key) for key, c in leaves.items()]
-
-    def evaluate(level, _rows):
-        ((raw, n),) = _hankel_halves(-a, terms, [r], level)
-        return [(const + 2.0 / math.pi * raw, n, 0.0)]
-
-    found = _converge(evaluate, 1, abs_tol, rel_tol, 16 * _MAX_PANELS * len(terms), "lifted")
-    return _single(found, "lifted")
+    return _single(_hankel(spec, [r], True, abs_tol, rel_tol, "lifted"), "lifted")

@@ -74,13 +74,36 @@ class TestHankel:
     def test_canonicalizes_order_swap(self):
         a = eval_hankel(SeriesSpec(-1.5, 0.5, 0, 2), 5.0).value
         b = eval_hankel(SeriesSpec(-1.5, 0.5, 2, 0), 5.0).value
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == b
+
+    @pytest.mark.parametrize("a, beta, m, mp", [(-1.5, 0.5, 2, 0), (-0.4, 0.0, 1, 1),
+                                                (-2.2, 1.3, 3, 4), (-0.7, -0.5, 5, 2)])
+    def test_lower_is_one_term_for_negative_a(self, a, beta, m, mp):
+        # no lowering step: one term with the Hankel sign (-1)^min(m, m')
+        want = [(-1.0 if min(m, mp) % 2 else 1.0, beta, m + mp, abs(m - mp))]
+        for spec in (SeriesSpec(a, beta, m, mp), SeriesSpec(a, beta, mp, m)):
+            alpha, const, terms = quadrature._lower(spec, 7.0)
+            assert alpha == -a and const == 0.0
+            assert terms == want and all(type(c) is float for c, *_ in terms)
 
     def test_parity_agreement(self):
         sp = SeriesSpec(-0.5, 0.0, 1, 1)
         half = eval_hankel(sp, 10.0, use_parity=True).value
         full = eval_hankel(sp, 10.0, use_parity=False).value
         assert half == pytest.approx(full, abs=1e-9)
+
+    def test_mirror_matches_half_on_many_terms(self):
+        # F(pi - phi) = (-1)^mu F(phi) and J_nu(-x) = (-1)^nu J_nu(x), mu + nu
+        # even: each term's integral over (pi/2, pi] equals the one over
+        # [0, pi/2), also inside a sum whose odd-nu terms flip their sign
+        alpha, _, terms = quadrature._lower(SeriesSpec(2.9, 0.3, 0, 3), 20.0)
+        assert len(terms) == 10 and len({beta for _, beta, _, _ in terms}) == 4
+        assert {nu % 2 for *_, nu in terms} == {0, 1}
+        for level in range(3):
+            plain = quadrature._hankel_halves(alpha, terms, [20.0], level)
+            mirrored = quadrature._hankel_halves(alpha, terms, [20.0], level, mirror=True)
+            assert [n for _, n in mirrored] == [n for _, n in plain]
+            assert mirrored[0][0] == pytest.approx(plain[0][0], rel=1e-12)
 
     def test_rejects_nonnegative_a(self):
         with pytest.raises(DomainError):
@@ -129,6 +152,9 @@ class TestHankelGrid:
                 want = None
             assert got == want
         assert (grid[1] is None) == (spec.a == -0.06)
+
+    def test_empty_grid(self):
+        assert eval_hankel_grid(GRID_SPECS[0], []) == []
 
     @pytest.mark.parametrize("spec, rs", [
         (SeriesSpec(0.5, 0.0, 0, 0), [1.0, 2.0]),
