@@ -4,7 +4,10 @@ and the quadrature's Bessel column ``bessel_j_col``.
 The many-argument cases time ``bessel_rows`` only when numba is active (it
 runs the numpy kernel otherwise).  The one-argument case, 400 calls of one
 argument each at nmax 600, always does: ``bessel_rows`` runs the loop
-kernel there, compiled with numba and plain Python without.
+kernel there, compiled with numba and plain Python without.  The
+oracle-length case times one one-argument row per r in {5, 50, 400, 1,000,
+2,000}, each at the nmax ``sum_series`` certifies at tol 1e-12 for
+m = m' = 0, a = 0, beta = 0: the rows every oracle sum runs.
 
 The column cases take the arguments of ``eval_hankel``'s mesh,
 ``2 r cos(phi)`` and ``2 r sin(eps)`` from ``quadrature._half_mesh`` at
@@ -15,7 +18,8 @@ takes 4,000 arguments spread uniformly below 25.  Each case, for nu in
 |error| against mpmath on 50 seeded arguments of them.
 
 Every multi-column result is checked bit for bit against the numpy kernel,
-and every one-argument row against the same row from ``_rows_numpy``.
+and every one-argument row (of both one-argument cases) against the same row
+from ``_rows_numpy``.
 
 Usage: python benchmarks/bench_bessel_rows.py [repeats]
 """
@@ -26,6 +30,7 @@ import mpmath
 import numpy as np
 
 from bnsum.backend import USE_NUMBA
+from bnsum.direct import _certified_length
 from bnsum.kernels import _rows_numpy, bessel_j_col, bessel_rows
 from bnsum.quadrature import _half_mesh
 
@@ -40,6 +45,7 @@ def timeit(fn, *args, repeats=5):
 
 
 ONE_ARG_NMAX = 600
+ORACLE_RS = (5.0, 50.0, 400.0, 1000.0, 2000.0)
 
 
 def _per_arg(fn, rs):
@@ -79,6 +85,16 @@ def main():
     for r in one_arg:
         assert np.array_equal(bessel_rows(ONE_ARG_NMAX, [r]),
                               _rows_numpy(ONE_ARG_NMAX, np.array([r]))), "backends disagree"
+
+    print(f"{'oracle-length row':28s} {'nmax':>7s} {'active':>10s} {'numpy':>10s}")
+    for r in ORACLE_RS:
+        nmax = _certified_length(0, 0, 0.0, 0.0, r, 1e-12)
+        arg = np.array([r])
+        t_numpy = timeit(_rows_numpy, nmax, arg, repeats=repeats)
+        t_active = timeit(bessel_rows, nmax, arg, repeats=repeats)
+        print(f"{f'r={r:g}':28s} {nmax:7d} {t_active * 1e3:8.3f}ms {t_numpy * 1e3:8.3f}ms")
+        assert np.array_equal(bessel_rows(nmax, arg), _rows_numpy(nmax, arg)), \
+            "backends disagree"
 
     mpmath.mp.dps = 30
     print(f"{'bessel_j_col on the mesh':28s} {'args':>7s} {'time':>10s} {'max |err|':>10s}")

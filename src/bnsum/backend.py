@@ -3,8 +3,9 @@
 The hot kernels in :mod:`bnsum.kernels` are compiled with numba when it is
 available.  Set ``BNSUM_NO_NUMBA=1`` to run without numba (used by the
 benchmark and as a safety hatch on platforms without a working LLVM): the
-per-argument Bessel-row loop then runs as plain Python for calls of a few
-arguments, and the vectorized numpy kernel runs calls of many.
+per-argument Bessel-row loop then runs as plain Python for calls of up to
+``kernels._LOOP_MAX_COLUMNS`` arguments, and the vectorized numpy kernel runs
+calls of more.
 """
 import os
 

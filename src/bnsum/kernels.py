@@ -17,6 +17,15 @@ do the same arithmetic, so a column depends on its argument alone: whatever
 else a call holds and whichever kernel runs it, it is bit for bit the column
 of a one-argument call.
 
+The loop is written so that, as plain Python, it runs on Python floats: it
+casts its argument with ``float(rs[j])``, and every step then does the same
+IEEE double arithmetic as with a numpy scalar, at a fraction of the cost.  It
+splits at ``nmax``: the orders above it (at least 20 of them) store nothing
+and so skip the store and its test; the orders ``nmax..0`` store into a 1-D
+view of the column, which a rescale scales from the current order up and one
+in-place division normalizes at the end.  Both halves stay compilable by
+numba.
+
 ``bessel_j_col(nu, xs)``, a column of one order over many arguments (the
 quadrature's ``J_nu(2 r cos phi)``), has two regimes.  Below ``hankel_x0(nu)``
 it is row ``nu`` of ``bessel_rows``; from there on, where the recurrence would
@@ -43,10 +52,11 @@ _RESCALE = 1e250
 _INV_RESCALE = 1e-250
 # Without numba, calls with at most this many arguments run the plain-Python
 # loop: its cost grows with the column count, the numpy kernel's per-order
-# overhead does not.  Measured on 2 CPUs with r in [1, 100], numpy vs loop:
-# nmax 150 takes 1.36 vs 0.62 ms at 4 columns, 1.36 vs 1.29 at 8 and
-# 1.33 vs 2.38 at 16; nmax 600 takes 3.9 vs 2.8 ms at 4 and 4.7 vs 5.2 at 8.
-_LOOP_MAX_COLUMNS = 4
+# overhead does not.  Best of 7 on 2 CPUs, numpy 2.4, r in [1, 100], numpy vs
+# loop: nmax 150 takes 1.36 vs 0.39 ms at 8 columns, 1.21 vs 0.92 at 16,
+# 1.22 vs 1.14 at 24 and 1.29 vs 1.60 at 32; nmax 600 takes 6.5 vs 2.1 ms at
+# 8, 4.3 vs 3.1 at 16, 4.2 vs 4.1 at 24 and 4.7 vs 5.9 at 32.
+_LOOP_MAX_COLUMNS = 24
 # Below this the step (2l/r)*jc overflows before a rescale can act (from
 # r ~ 1e-57 on); the power series' next term is smaller by (r/2)^2 < 1e-100.
 _TINY_R = 1e-50
@@ -68,32 +78,39 @@ def _start_order(nmax: int, rs: np.ndarray) -> np.ndarray:
 @njit(cache=True)
 def _rows_kernel(nmax, rs, starts, out):  # pragma: no cover - exercised via wrapper
     for j in range(rs.shape[0]):
-        r = rs[j]
+        r = float(rs[j])
+        col = out[:, j]
         if r == 0.0:
-            out[0, j] = 1.0
-            for l in range(1, nmax + 1):
-                out[l, j] = 0.0
+            col[0] = 1.0
+            col[1:] = 0.0
             continue
         if r < _TINY_R:  # (r/2)^n / n!, built as in _rows_numpy
             term = 1.0
-            out[0, j] = term
+            col[0] = term
             for l in range(1, nmax + 1):
                 term = term * (0.5 * r) / l
-                out[l, j] = term
+                col[l] = term
             continue
-        m = starts[j]  # at least nmax + 20: nothing is stored at it
+        m = int(starts[j])  # at least nmax + 20: nothing is stored at it
         jp = 0.0
         jc = 1e-300
         norm = 2.0 * jc if m % 2 == 0 else 0.0
-        top = nmax  # lowest order stored so far
-        for l in range(m, 0, -1):
+        for l in range(m, nmax + 1, -1):  # orders m-1..nmax+1: nothing stored
+            jm = (2.0 * l / r) * jc - jp
+            jp = jc
+            jc = jm
+            if l % 2 == 1:  # even order l-1 > 0
+                norm += 2.0 * jc
+            if abs(jc) > _RESCALE:
+                jc *= _INV_RESCALE
+                jp *= _INV_RESCALE
+                norm *= _INV_RESCALE
+        for l in range(nmax + 1, 0, -1):  # orders nmax..0, stored
             jm = (2.0 * l / r) * jc - jp
             jp = jc
             jc = jm
             order = l - 1
-            if order <= nmax:
-                out[order, j] = jc
-                top = order
+            col[order] = jc
             if order % 2 == 0:
                 if order > 0:
                     norm += 2.0 * jc
@@ -103,10 +120,8 @@ def _rows_kernel(nmax, rs, starts, out):  # pragma: no cover - exercised via wra
                 jc *= _INV_RESCALE
                 jp *= _INV_RESCALE
                 norm *= _INV_RESCALE
-                for k in range(top, nmax + 1):
-                    out[k, j] *= _INV_RESCALE
-        for l in range(0, nmax + 1):
-            out[l, j] /= norm
+                col[order:] *= _INV_RESCALE
+        col /= norm
 
 
 def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:

@@ -67,6 +67,15 @@ class TestBesselRows:
                                       equal_nan=True), \
                     (nmax, r)
 
+    def test_rescale_at_phase_boundary_matches_numpy_bitwise(self):
+        # at small r the recurrence rescales every few orders, so over nmax
+        # 0..64 rescales fall above, at and below the first stored order
+        for r in (1e-47, 1e-20, 1e-8, 1e-3, 0.7):
+            for nmax in range(65):
+                got = bessel_rows(nmax, [r])
+                assert np.array_equal(got, kernels._rows_numpy(nmax, np.array([r])),
+                                      equal_nan=True), (nmax, r)
+
     def test_dispatch_by_column_count(self, monkeypatch):
         calls = []
         numpy_kernel = kernels._rows_numpy
@@ -93,8 +102,8 @@ class TestBesselRows:
 
     @pytest.mark.parametrize("nmax", [0, 1, 3, 40, 600])
     def test_groups_match_separate_calls_bitwise(self, nmax):
-        # groups of at most 4 columns alone run the loop, larger ones the
-        # numpy kernel; an empty group too
+        # groups of at most _LOOP_MAX_COLUMNS columns alone run the loop, the
+        # group of 30 and the whole call the numpy kernel; an empty group too
         rng = np.random.default_rng(9)
         groups = [rng.uniform(0.0, 25.0, 30), np.array([0.0, 1e-60, 3.5, 17.0]),
                   np.array([]), 10.0 ** rng.uniform(-3.0, 2.5, 12), np.array([24.9]),

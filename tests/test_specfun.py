@@ -220,7 +220,7 @@ class TestBesselJCol:
                        min_size=1, max_size=40),
            nmax=st.integers(0, 60), nu=st.integers(0, 9), data=st.data())
     def test_value_depends_on_argument_alone(self, xs, nmax, nu, data):
-        # up to 4 arguments run the loop kernel, more the numpy kernel
+        # up to _LOOP_MAX_COLUMNS arguments run the loop kernel, more the numpy kernel
         perm = data.draw(st.permutations(range(len(xs))))
         xs = np.array(xs)
         rows, col = bessel_rows(nmax, xs), bessel_j_col(nu, xs)
