@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -86,6 +87,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mprime", type=int, required=True)
 
 
+@functools.cache  # built on the first main() call, not at import; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bnsum", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)

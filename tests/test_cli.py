@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bnsum import cli
 from bnsum.cli import main
 
 
@@ -247,6 +248,46 @@ class TestAsym:
                              "--mprime", "0", "--r", "0")
         assert code == 2
         assert out == "" and "r > 0" in err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_a_sequence(self, capsys, tmp_path):
+        # main builds its parser once per process: neither a failed parse nor
+        # one command's flags or defaults may reach the next call
+        csv = tmp_path / "sweep.csv"
+        spec = ["--a", "-0.5", "--beta", "0", "--m", "0", "--mprime", "0"]
+        calls = [
+            ("eval", "--a", "0"),
+            ("eval", "--a", "0", "--beta", "0", "--m", "0", "--mprime", "0", "--r", "2",
+             "--method", "oracle"),
+            ("sweep", *spec, "--r-start", "40", "--r-end", "60", "--points", "3",
+             "--methods", "oracle,asym", "--out", str(csv)),
+            ("asym", *spec, "--r", "10", "--show-terms"),
+            ("eval", *spec, "--r", "100"),
+        ]
+
+        def call(argv):
+            code, out, err = run(capsys, *argv)
+            return code, out, err, csv.read_text() if argv[0] == "sweep" else None
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(call(argv))
+        cli._build_parser.cache_clear()
+        shared = [call(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared == fresh
+
+        (bad, *_), oracle, sweep, asym, auto = shared
+        assert bad == 2
+        assert json.loads(oracle[1])["value"] == pytest.approx(
+            (1.0 - 0.22389077914123567 ** 2) / 2.0, abs=1e-12)
+        rows = [line.split(",") for line in sweep[3].strip().split("\n")[1:]]
+        assert sweep[0] == 0 and len(rows) == 3
+        assert all(c[1] and c[4] and not c[2] and not c[3] for c in rows)
+        assert {t["power"] for t in json.loads(asym[1])["terms"]} == {0.5, 1.0}
+        assert json.loads(auto[1])["method"] == "asym"  # auto, not the oracle flag before
 
 
 class TestValidate:

@@ -1,6 +1,7 @@
 """Integral-representation routes against the certified direct sum."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from bnsum import fseries, kernels, quadrature
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError, DomainError
 from bnsum.fseries import FParams, f_eval_many, f_eval_near_half_many
-from bnsum.quadrature import eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
+from bnsum.quadrature import HALF_PI, eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
 
 
 def oracle(a, beta, m, mp, r):
@@ -209,6 +210,26 @@ EXP2D_CASES = [(SeriesSpec(a, float(_RNG_EXP2D.uniform(-0.9, 2.0)), m, mp), r)
                for (a, m, mp), r in zip(((-0.4, 1, 0), (-0.7, 1, 1), (-1.5, 2, 1), (-2.2, 3, 1),
                                          (-0.3, 0, 2), (-1.2, 2, 1)),
                                         (*_RNG_EXP2D.uniform(0.5, 60.0, 4), 90.0, 90.0))]
+
+
+class TestThetaRule:
+    @pytest.mark.parametrize("r", [0.0, 1e-3, 0.5, 5.0, 90.0, 200.0])
+    def test_matches_bessel_integral(self, r):
+        # the part of the theta integrand that carries the value, cos(x cos t)
+        # for even nu and sin(x cos t) for odd nu, integrates over [0, pi/2] to
+        # (pi/2) cos(nu pi/2) J_nu(x) resp. (pi/2) sin(nu pi/2) J_nu(x).  The
+        # float64 nodes move x cos t by about x * 1e-16 each, and a level-2 rule
+        # sums up to 528 terms, hence the rounding allowance.
+        xs = np.linspace(0.0, 2.0 * r, 50)
+        for nu in (*range(7), 20):
+            trig, phase = (np.cos, math.cos) if nu % 2 == 0 else (np.sin, math.sin)
+            with mpmath.workdps(30):
+                want = np.array([float(mpmath.besselj(nu, x)) for x in xs])
+            want *= HALF_PI * phase(nu * HALF_PI)
+            for level in range(3):
+                tn, tw = quadrature._theta_rule(r, nu, level)
+                got = trig(np.multiply.outer(xs, np.cos(tn))) @ tw
+                assert np.all(np.abs(got - want) <= 4e-15 + 2e-17 * xs), (nu, level)
 
 
 class TestExp2d:
