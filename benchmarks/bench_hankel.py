@@ -19,12 +19,13 @@ best of ``repeats`` each).
 
 Last it times ``eval_lifted`` warm at beta = 0.3, m = 1, m' = 0, r = 50 for
 a in {0.5, 1.61, 2.9}, and at beta = 0, m = m' = 0, r = 5 for the large
-exponents a in {10, 20, 40}, whose lowering gives 78 to 903 terms, with its
-work (the combined integrand's (term, node) products summed over the levels)
-and its ``err_est`` next to its distance from the oracle.
+exponents a in {10, 20, 40}, with the number of terms of its lowered
+combination, its work (the combined integrand's (term, node) products summed
+over the levels) and its ``err_est`` next to its distance from the oracle.
 
 With ``--json PATH`` it also writes every row (route, spec, r, work, warm ms,
-distance from the oracle or, for the grid, from ``eval_hankel``) to PATH,
+distance from the oracle or, for the grid, from ``eval_hankel``; for lifted
+also the term count) to PATH,
 with an environment block: numba on/off, CPU count, numpy and python versions.
 
 Exits 1 if a Hankel value differs from the oracle (``sum_series`` at tol
@@ -50,7 +51,8 @@ import numpy as np
 from bnsum.backend import USE_NUMBA
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError
-from bnsum.quadrature import _theta_rule, eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
+from bnsum.quadrature import (_lower, _theta_rule, eval_exp2d, eval_hankel, eval_hankel_grid,
+                              eval_lifted)
 
 RS = (5.0, 30.0, 100.0, 200.0, 400.0, 1000.0)
 SPECS = (SeriesSpec(-0.5, 0.0, 1, 0), SeriesSpec(-0.3, 0.2, 3, 2), SeriesSpec(-1.5, 0.5, 1, 0))
@@ -142,15 +144,16 @@ def main() -> int:
               f"{rel:13.1e}{'' if same_work else '  WORK DIFFERS'}")
 
     print("lifted, warm:")
-    print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'r':>3s} {'work':>7s} {'warm':>9s} "
-          f"{'err_est':>9s} {'|lifted - oracle|':>18s}")
+    print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'r':>3s} {'terms':>5s} {'work':>7s} "
+          f"{'warm':>9s} {'err_est':>9s} {'|lifted - oracle|':>18s}")
     for spec, r in LIFTED_CASES:
         res, best = best_time(lambda: eval_lifted(spec, r), repeats)
         want = oracle(spec, r)
         dev = abs(res.value - want)
         failed |= not dev <= LIFTED_TOL * abs(want)
-        row("lifted", spec, r, res.work, best * 1e3, dev, err_est=res.err_est)
-        print(f"{spec.a:5.2f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} {r:3g} "
+        terms = len(_lower(spec, r)[1])
+        row("lifted", spec, r, res.work, best * 1e3, dev, err_est=res.err_est, terms=terms)
+        print(f"{spec.a:5.2f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} {r:3g} {terms:5d} "
               f"{res.work:7d} {best * 1e3:7.1f}ms {res.err_est:9.1e} {dev:18.1e}"
               f"  ({dev / abs(want):.1e} relative)")
     if failed:

@@ -253,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"error: out of memory in bnsum {args.command}", file=sys.stderr)
         return 3
+    except OverflowError as exc:  # a float power or math function out of range
+        print(f"error: overflow in bnsum {args.command}: {exc}", file=sys.stderr)
+        return 3
     except (DomainError, BnsumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

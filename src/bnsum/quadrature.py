@@ -8,9 +8,11 @@ For a < 0 (weight exponent), the series equals
 
 with alpha = -a, mu = m+m', nu = |m-m'|.  For a >= 0 each step of the
 recurrence (l+beta) J_{l+m} = (r/2) (J_{l+m-1} + J_{l+m+1}) + (beta-m) J_{l+m}
-lowers a by one, to alpha = -a in (0, 1] (order -1 is shifted back to 0 by
-l -> l+1, leaving a closed-form term): a constant plus a linear combination of
-Hankel integrands.  a < 0 is the case of no step, so both run one quadrature.
+lowers a by one, to alpha = -a in (0, 1]: a linear combination of Hankel
+integrands with one beta.  Neumann's product formula (DLMF 10.9) with
+J_{-n} = (-1)^n J_n holds for every integer order, so orders that step below
+0 keep the form with mu = k+m' and nu = |k-m'|.  a < 0 is the case of no
+step, so both run one quadrature.
 
 The phi-singularity of F at pi/2 (order alpha-1 for alpha < 1, logarithmic at
 alpha = 1) is handled with a power-law substitution phi = pi/2 - u^{1/alpha}
@@ -20,14 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 
 import numpy as np
 
 from .direct import EvalResult, SeriesSpec, check_inputs
 from .errors import ConvergenceError, DomainError
 from .fseries import FParams, f_eval_many, f_eval_near_half_many, f_phase, lerch_factor
-from .kernels import bessel_j_col, bessel_rows
+from .kernels import bessel_j_col
 from .specfun import gauss_panel_nodes as _panel_nodes
 
 HALF_PI = math.pi / 2.0
@@ -97,58 +98,51 @@ def _half_mesh(r: float, alpha: float, level: int):
 
 
 def _lower(spec: SeriesSpec, r: float):
-    """(alpha, const, terms) of the module docstring's lowering at r:
-    S = const + (2/pi) sum c Int_0^{pi/2} F_{alpha,beta,mu}(phi) J_nu(2 r cos phi)
-    over the (c, beta, mu, nu) of ``terms``, with (-1)^min(m, m') folded into c."""
-    half_r, a, const = r / 2.0, spec.a, 0.0
-    combo = {(spec.beta, spec.m, spec.m_prime): 1.0}  # {(beta, m, m'): coefficient}
-    if a >= 0.0:  # the shift reads J_0 and J_{mp+1}, and mp <= m' + floor(a) < nmax
-        nmax = max(spec.m, spec.m_prime) + int(math.floor(a)) + 2
-        row = bessel_rows(nmax, np.array([r]))[:, 0].tolist()
-    while a >= 0.0:
-        a -= 1.0
-        lowered = defaultdict(float)
-        for (beta, m, mp), c in combo.items():
-            for k, coeff in ((m - 1, half_r), (m + 1, half_r), (m, beta - m)):
-                key = (beta, k, mp)
-                if k < 0:  # shift l -> l+1, which leaves the l = 1 term J_0 J_{mp+1}
-                    const += c * coeff * row[0] * row[mp + 1] * (1.0 + beta) ** a
-                    key = (beta + 1.0, 0, mp + 1)
-                lowered[key] += c * coeff
-        combo = {key: c for key, c in lowered.items() if c}
-    leaves = defaultdict(float)  # Hankel form (beta, mu, nu): (-1)^min(m, m') folded in c
-    for (beta, m, mp), c in combo.items():
-        leaves[beta, m + mp, abs(m - mp)] += (-1) ** min(m, mp) * c
-    return -a, const, [(c, *key) for key, c in leaves.items()]
+    """(alpha, terms) of the module docstring's lowering at r:
+    S = (2/pi) sum c Int_0^{pi/2} F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the
+    (c, mu, nu) of ``terms``: the c_k of sum_k c_k J_{l+k} (l+beta)^(a-n) over
+    k = m-n .. m+n after n = floor(a) + 1 steps (none for a < 0), with (-1)^min(k, m')
+    folded in.  An overflowed coefficient stays inf or NaN, and so does the value."""
+    m, mp, beta, half_r = spec.m, spec.m_prime, spec.beta, r / 2.0
+    n = int(math.floor(spec.a)) + 1 if spec.a >= 0.0 else 0
+    orders = range(m - n, m + n + 1)
+    c = [0.0] * n + [1.0] + [0.0] * n
+    for _ in range(n):  # Python floats overflow to inf without a warning
+        c = [(beta - k) * c_k + half_r * (below + above)
+             for k, c_k, below, above in zip(orders, c, [0.0, *c], [*c[1:], 0.0])]
+    terms = [(-c_k if min(k, mp) % 2 else c_k, k + mp, abs(k - mp))
+             for c_k, k in zip(c, orders) if c_k]
+    return n - spec.a, terms
 
 
-def _hankel_halves(alpha: float, terms, rs: list[float], level: int, mirror: bool = False):
+def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int,
+                   mirror: bool = False):
     """(sum over [0, pi/2), product count) per r of ``rs`` of the integrand
-    sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, beta, mu, nu)
-    of ``terms``.  Per half, over the rows' concatenated meshes, each distinct
-    beta gets one Lerch factor of F and all orders share one Bessel call; a
-    node's values depend on its own argument and each row sums its own slice,
-    so a row's sum is that of a one-row call.
+    sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, mu, nu) of
+    ``terms``.  Per half, over the rows' concatenated meshes, all terms share
+    one Lerch factor of F and one Bessel call; a node's values depend on its
+    own argument and each row sums its own slice, so a row's sum is that of a
+    one-row call.
 
     With ``mirror`` the sum is over (pi/2, pi]: F at pi - phi resp. on eps side
     -1, with J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
     """
     meshes = [_half_mesh(r, alpha, level) for r in rs]
     if mirror:
-        terms = [(-c if nu % 2 else c, beta, mu, nu) for c, beta, mu, nu in terms]
+        terms = [(-c if nu % 2 else c, mu, nu) for c, mu, nu in terms]
 
     def half(k: int, side: int, trig) -> list[float]:
         nodes = np.concatenate([mesh[k] for mesh in meshes])
         weights = np.concatenate([mesh[k + 1] for mesh in meshes])
         sizes = [mesh[k].size for mesh in meshes]
         args = np.repeat(2.0 * np.array(rs), sizes) * trig(nodes)
-        orders = sorted({t[3] for t in terms})
+        orders = sorted({nu for *_, nu in terms})
         cols = dict(zip(orders, bessel_j_col(orders, args)))
         f_at, f_side = nodes, side
         if mirror:
             f_at, f_side = (nodes, -1) if side else (math.pi - nodes, 0)
-        lams = {beta: lerch_factor(alpha, beta, f_at, f_side) for beta in {t[1] for t in terms}}
-        products = (c * weights * f_phase(*lams[beta], mu) * cols[nu] for c, beta, mu, nu in terms)
+        lam, phis = lerch_factor(alpha, beta, f_at, f_side)
+        products = (c * weights * f_phase(lam, phis, mu) * cols[nu] for c, mu, nu in terms)
         integrand = sum(products, next(products))  # a running sum; one term stays exact
         ends = itertools.accumulate(sizes)
         return [float(np.sum(integrand[end - size:end])) for size, end in zip(sizes, ends)]
@@ -203,16 +197,16 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
     for r in rs:
         check_inputs(r, abs_tol, rel_tol)
     # r enters the lowering only for a >= 0, where eval_lifted passes one r
-    alpha, const, terms = _lower(spec, rs[0] if rs else 0.0)
+    alpha, terms = _lower(spec, rs[0] if rs else 0.0)
     positive = [i for i, r in enumerate(rs) if r > 0.0]
 
     def evaluate(level, rows):
         r_rows = [rs[positive[i]] for i in rows]
-        sums = _hankel_halves(alpha, terms, r_rows, level)
+        sums = _hankel_halves(alpha, spec.beta, terms, r_rows, level)
         if not use_parity:
-            mirrored = _hankel_halves(alpha, terms, r_rows, level, mirror=True)
+            mirrored = _hankel_halves(alpha, spec.beta, terms, r_rows, level, mirror=True)
             sums = [((raw + back) / 2.0, n + n2) for (raw, n), (back, n2) in zip(sums, mirrored)]
-        return [(const + 2.0 / math.pi * raw, n, 0.0) for raw, n in sums]
+        return [(2.0 / math.pi * raw, n, 0.0) for raw, n in sums]
 
     found = iter(_converge(evaluate, len(positive), abs_tol, rel_tol,
                            16 * _MAX_PANELS * len(terms), tag))

@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bnsum import cli
@@ -87,6 +88,20 @@ class TestEval:
                              "--mprime", "0", "--r", "5", "--method", "hankel")
         assert code == 3
         assert out == "" and err.startswith("error: out of memory")
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--method", "lifted", "--a", "104", "--beta", "1000", "--r", "0.001"),
+        ("asym", "--a", "2000", "--beta", "0", "--r", "10"),
+        ("eval", "--method", "asym", "--a", "400", "--beta", "0", "--r", "100"),
+        ("eval", "--a", "-1500.5", "--beta", "0", "--r", "60"),
+    ])
+    def test_overflow_exit_3(self, capsys, argv):
+        # coefficients or powers beyond the float range are a numeric failure
+        # of the route: an error line and exit 3, not a traceback
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, *argv, "--m", "0", "--mprime", "0")
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
 
     def test_underflowing_substitution_exit_3(self, capsys):
         # at alpha = 0.03 the smallest eps = u^(1/alpha) nodes underflow to 0,

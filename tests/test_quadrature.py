@@ -81,10 +81,10 @@ class TestHankel:
                                                 (-2.2, 1.3, 3, 4), (-0.7, -0.5, 5, 2)])
     def test_lower_is_one_term_for_negative_a(self, a, beta, m, mp):
         # no lowering step: one term with the Hankel sign (-1)^min(m, m')
-        want = [(-1.0 if min(m, mp) % 2 else 1.0, beta, m + mp, abs(m - mp))]
+        want = [(-1.0 if min(m, mp) % 2 else 1.0, m + mp, abs(m - mp))]
         for spec in (SeriesSpec(a, beta, m, mp), SeriesSpec(a, beta, mp, m)):
-            alpha, const, terms = quadrature._lower(spec, 7.0)
-            assert alpha == -a and const == 0.0
+            alpha, terms = quadrature._lower(spec, 7.0)
+            assert alpha == -a
             assert terms == want and all(type(c) is float for c, *_ in terms)
 
     def test_parity_agreement(self):
@@ -97,12 +97,12 @@ class TestHankel:
         # F(pi - phi) = (-1)^mu F(phi) and J_nu(-x) = (-1)^nu J_nu(x), mu + nu
         # even: each term's integral over (pi/2, pi] equals the one over
         # [0, pi/2), also inside a sum whose odd-nu terms flip their sign
-        alpha, _, terms = quadrature._lower(SeriesSpec(2.9, 0.3, 0, 3), 20.0)
-        assert len(terms) == 10 and len({beta for _, beta, _, _ in terms}) == 4
+        alpha, terms = quadrature._lower(SeriesSpec(2.9, 0.3, 1, 0), 20.0)
+        assert len(terms) == 7 and min(mu for _, mu, _ in terms) == -2
         assert {nu % 2 for *_, nu in terms} == {0, 1}
         for level in range(3):
-            plain = quadrature._hankel_halves(alpha, terms, [20.0], level)
-            mirrored = quadrature._hankel_halves(alpha, terms, [20.0], level, mirror=True)
+            plain = quadrature._hankel_halves(alpha, 0.3, terms, [20.0], level)
+            mirrored = quadrature._hankel_halves(alpha, 0.3, terms, [20.0], level, mirror=True)
             assert [n for _, n in mirrored] == [n for _, n in plain]
             assert mirrored[0][0] == pytest.approx(plain[0][0], rel=1e-12)
 
@@ -267,7 +267,7 @@ class TestLifted:
         (1.0, 0.0, 1, 0, 10.0),
         (2.0, 1.0, 2, 1, 8.0),
         (2.5, 0.0, 0, 0, 12.0),
-        (2.9, 0.3, 0, 3, 20.0),  # m = -1 shift with m' > m; leaf alpha 0.1
+        (2.9, 0.3, 0, 3, 20.0),  # orders down to -3 with m' > m; alpha 0.1
         (1.6143, 0.3407, 0, 0, 13.43),
         (0.9, -0.5, 3, 1, 40.0),
         (4.5, 0.2, 0, 2, 40.0),
@@ -290,13 +290,37 @@ class TestLifted:
         res = eval_lifted(SeriesSpec(2.0, 0.5, 1, 0), 10.0)
         assert res.value == pytest.approx(oracle(2.0, 0.5, 1, 0, 10.0), rel=1e-6)
 
+    @pytest.mark.parametrize("case", [
+        (10.0, 0.0, 0, 0, 5.0),
+        (20.0, 0.0, 0, 0, 5.0),
+        (40.0, 0.0, 0, 0, 5.0),
+        (2.9, 0.3, 0, 3, 20.0),  # orders k = -3..3, mu = k + m' down to 0
+        (4.2, -0.4, 1, 0, 9.0),  # mu = k down to -4
+        (1.5, 0.7, 0, 0, 3.0),
+    ])
+    def test_oracle_equivalence_tight(self, case):
+        a, b, m, mp, r = case
+        want = oracle(a, b, m, mp, r)
+        assert eval_lifted(SeriesSpec(a, b, m, mp), r).value == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("a, beta, m, mp", [(0.0, 0.3, 0, 0), (2.9, 0.3, 0, 3),
+                                                (4.2, -0.4, 1, 0), (7.0, 1.0, 2, 5)])
+    def test_lower_shape(self, a, beta, m, mp):
+        # n = floor(a) + 1 steps: orders m-n .. m+n, one beta, alpha in (0, 1]
+        n = math.floor(a) + 1
+        alpha, terms = quadrature._lower(SeriesSpec(a, beta, m, mp), 6.0)
+        assert alpha == n - a
+        ks = [mu - mp for _, mu, _ in terms]
+        assert set(ks) <= set(range(m - n, m + n + 1)) and {m - n, m + n} <= set(ks)
+        assert all(nu == abs(k - mp) and c != 0.0 for (c, _, nu), k in zip(terms, ks))
+
     def test_one_quadrature_over_distinct_terms(self, monkeypatch):
         calls = []
         halves = quadrature._hankel_halves
 
-        def recorded(alpha, terms, rs, level):
+        def recorded(alpha, beta, terms, rs, level):
             calls.append((alpha, terms, rs, level))
-            return halves(alpha, terms, rs, level)
+            return halves(alpha, beta, terms, rs, level)
 
         monkeypatch.setattr(quadrature, "_hankel_halves", recorded)
         res = eval_lifted(SeriesSpec(2.0, 1.0, 1, 0), 10.0)  # beta == m
@@ -308,14 +332,14 @@ class TestLifted:
         meshes = [quadrature._half_mesh(rs[0], alpha, level) for alpha, _, rs, level in calls]
         assert res.work == len(terms) * sum(mesh[0].size + mesh[2].size for mesh in meshes)
 
-    def test_one_lerch_factor_per_beta_and_one_recurrence_per_half(self, monkeypatch):
+    def test_one_lerch_factor_and_one_recurrence_per_half(self, monkeypatch):
         events, level_terms = [], []
         halves = quadrature._hankel_halves
 
-        def level(alpha, terms, rs, lvl):
+        def level(alpha, beta, terms, rs, lvl):
             events.append("|")
             level_terms.append(terms)
-            return halves(alpha, terms, rs, lvl)
+            return halves(alpha, beta, terms, rs, lvl)
 
         def counted(tag, fn):
             def wrapper(*args):
@@ -328,30 +352,35 @@ class TestLifted:
         monkeypatch.setattr(fseries, "lerch_local_many", counted("l", fseries.lerch_local_many))
         monkeypatch.setattr(kernels, "bessel_rows", counted("r", kernels.bessel_rows))
         eval_lifted(SeriesSpec(2.9, 0.3, 0, 3), 20.0)
-        betas = len({beta for _, beta, _, _ in level_terms[0]})
-        assert len(level_terms[0]) > betas > 1  # 10 terms over 4 beta
+        assert len(level_terms[0]) == 7
         per_level = "".join(events).split("|")[1:]
         assert len(per_level) == len(level_terms) >= 2
         for seq in per_level:  # the smooth half's calls, then the eps half's
             cut = seq.rindex("u") + 1
             smooth, sing = seq[:cut], seq[cut:]
-            assert smooth.count("u") == betas and smooth.count("r") <= 1, seq
-            assert sing.count("l") == betas and sing.count("r") <= 1 and "l" not in smooth, seq
+            assert smooth.count("u") == 1 and smooth.count("r") <= 1, seq
+            assert sing.count("l") == 1 and sing.count("r") <= 1 and "l" not in smooth, seq
 
     def test_non_finite_level_raises_at_once(self, monkeypatch):
-        # a = 200 at r = 5: the lowered combination overflows, so the value is
-        # NaN from level 0 on; no finer level can mend that
+        # a = 300 at r = 5: the lowered coefficients overflow, so the value is
+        # not finite from level 0 on; no finer level can mend that
         levels = []
         halves = quadrature._hankel_halves
 
-        def recorded(alpha, terms, rs, level):
+        def recorded(alpha, beta, terms, rs, level):
             levels.append(level)
-            return halves(alpha, terms, rs, level)
+            return halves(alpha, beta, terms, rs, level)
 
         monkeypatch.setattr(quadrature, "_hankel_halves", recorded)
         with pytest.raises(ConvergenceError), np.errstate(over="ignore", invalid="ignore"):
-            eval_lifted(SeriesSpec(200.0, 0.0, 0, 0), 5.0)
+            eval_lifted(SeriesSpec(300.0, 0.0, 0, 0), 5.0)
         assert levels == [0]
+
+    def test_cancellation_beyond_repair_raises(self):
+        # a = 200 at r = 5: the combination stays finite, but cancellation
+        # leaves no correct digit, so the levels never agree
+        with pytest.raises(ConvergenceError):
+            eval_lifted(SeriesSpec(200.0, 0.0, 0, 0), 5.0)
 
     def test_neumann_base_case(self):
         # a=0, m=m'=0: one lowering step reproduces (1 - J_0(r)^2)/2
@@ -364,3 +393,16 @@ class TestLifted:
             eval_lifted(SeriesSpec(-0.5, 0.0, 0, 0), 1.0)
         with pytest.raises(DomainError):
             eval_lifted(SeriesSpec(0.5, 0.0, 0, 0), 0.0)
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-2, 1), (-3, -1), (2, -2), (1, 3), (-1, 4)])
+    def test_neumann_holds_at_negative_orders(self, p, q):
+        # J_p J_q = ((-1)^q / pi) Int_0^pi J_{p-q}(2 r cos phi) cos((p+q) phi) dphi
+        # for all integer orders (DLMF 10.9 with J_{-n} = (-1)^n J_n), so the
+        # lowering keeps negative orders as they are
+        with mpmath.workdps(20):
+            for r in (0.7, 5.0):
+                integral = mpmath.quad(
+                    lambda phi: mpmath.besselj(p - q, 2 * r * mpmath.cos(phi))
+                    * mpmath.cos((p + q) * phi), [0, mpmath.pi / 2, mpmath.pi])
+                want = mpmath.besselj(p, r) * mpmath.besselj(q, r)
+                assert abs((-1) ** q * integral / mpmath.pi - want) < 1e-15
