@@ -103,10 +103,11 @@ def main() -> int:
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             dev = abs(res.value - oracle(spec, r))
             failed |= not dev <= EXP2D_TOL
-            theta = _theta_rule(r, spec.nu, 0)[0].size
+            _, ((_, mu, nu),) = _lower(spec, r)
+            theta = _theta_rule(r, nu, 0)[0].size
             row("exp2d", spec, r, res.work, t_exp2d * 1e3, dev,
                 theta_nodes=theta, peak_rss_mb=peak_mb)
-            print(f"exp2d a={spec.a} mu={spec.mu} r={r:g}: {theta} theta nodes, work {res.work}, "
+            print(f"exp2d a={spec.a} mu={mu} r={r:g}: {theta} theta nodes, work {res.work}, "
                   f"warm {t_exp2d * 1e3:.0f} ms ({res.work / (t_exp2d * 1e3):.0f} cells/ms), "
                   f"peak RSS {peak_mb:.0f} MB, |exp2d - oracle| {dev:.1e}")
 

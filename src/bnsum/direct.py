@@ -25,7 +25,8 @@ DERIVATIVE_KINDS = ("JJ", "JdJ", "dJdJ", "JddJ", "dJddJ", "ddJddJ")
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """The series sum_{l>=1} J_{l+m'}(r) J_{l+m}(r) (l+beta)^a."""
+    """The series sum_{l>=1} J_{l+m'}(r) J_{l+m}(r) (l+beta)^a, symmetric in m
+    and m'; ``quadrature._lower`` gives the orders of its integral forms."""
 
     a: float
     beta: float
@@ -39,20 +40,6 @@ class SeriesSpec:
             raise DomainError("SeriesSpec requires beta > -1")
         if self.m < 0 or self.m_prime < 0:
             raise DomainError("SeriesSpec requires m, m_prime >= 0")
-
-    @property
-    def mu(self) -> int:
-        return self.m + self.m_prime
-
-    @property
-    def nu(self) -> int:
-        return self.m - self.m_prime
-
-    def canonical(self) -> "SeriesSpec":
-        """Equivalent spec with nu >= 0 (the series is symmetric in m, m')."""
-        if self.m >= self.m_prime:
-            return self
-        return SeriesSpec(self.a, self.beta, self.m_prime, self.m)
 
 
 @dataclass(frozen=True)

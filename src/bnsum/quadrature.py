@@ -12,7 +12,8 @@ lowers a by one, to alpha = -a in (0, 1]: a linear combination of Hankel
 integrands with one beta.  Neumann's product formula (DLMF 10.9) with
 J_{-n} = (-1)^n J_n holds for every integer order, so orders that step below
 0 keep the form with mu = k+m' and nu = |k-m'|.  a < 0 is the case of no
-step, so both run one quadrature.
+step, so both run one quadrature.  The exponential form integrates that one
+term of a < 0, whose sign (-1)^min(m,m') = i^{-mu} i^{nu} its prefactor carries.
 
 The phi-singularity of F at pi/2 (order alpha-1 for alpha < 1, logarithmic at
 alpha = 1) is handled with a power-law substitution phi = pi/2 - u^{1/alpha}
@@ -27,7 +28,7 @@ import numpy as np
 
 from .direct import EvalResult, SeriesSpec, check_inputs
 from .errors import ConvergenceError, DomainError
-from .fseries import FParams, f_eval_many, f_eval_near_half_many, f_phase, lerch_factor
+from .fseries import f_phase, lerch_factor
 from .kernels import bessel_j_col
 from .specfun import gauss_panel_nodes as _panel_nodes
 
@@ -102,7 +103,7 @@ def _lower(spec: SeriesSpec, r: float):
     S = (2/pi) sum c Int_0^{pi/2} F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the
     (c, mu, nu) of ``terms``: the c_k of sum_k c_k J_{l+k} (l+beta)^(a-n) over
     k = m-n .. m+n after n = floor(a) + 1 steps (none for a < 0), with (-1)^min(k, m')
-    folded in.  An overflowed coefficient stays inf or NaN, and so does the value."""
+    folded in.  An overflowed coefficient stays inf or NaN; ``_hankel`` rejects it."""
     m, mp, beta, half_r = spec.m, spec.m_prime, spec.beta, r / 2.0
     n = int(math.floor(spec.a)) + 1 if spec.a >= 0.0 else 0
     orders = range(m - n, m + n + 1)
@@ -115,6 +116,15 @@ def _lower(spec: SeriesSpec, r: float):
     return n - spec.a, terms
 
 
+def _half_lerch(alpha: float, beta: float, nodes: np.ndarray, side: int, mirror: bool = False):
+    """``lerch_factor`` and phi of F on one part of a ``_half_mesh``: phi nodes
+    (side 0) or eps nodes (side 1) in [0, pi/2), or with ``mirror`` their
+    images pi - phi resp. pi/2 + eps in (pi/2, pi]."""
+    if mirror:
+        nodes, side = (nodes, -side) if side else (math.pi - nodes, 0)
+    return lerch_factor(alpha, beta, nodes, side)
+
+
 def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int,
                    mirror: bool = False):
     """(sum over [0, pi/2), product count) per r of ``rs`` of the integrand
@@ -124,8 +134,8 @@ def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int
     own argument and each row sums its own slice, so a row's sum is that of a
     one-row call.
 
-    With ``mirror`` the sum is over (pi/2, pi]: F at pi - phi resp. on eps side
-    -1, with J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
+    With ``mirror`` the sum is over (pi/2, pi]: F on ``_half_lerch``'s mirrored
+    nodes, with J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
     """
     meshes = [_half_mesh(r, alpha, level) for r in rs]
     if mirror:
@@ -138,10 +148,7 @@ def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int
         args = np.repeat(2.0 * np.array(rs), sizes) * trig(nodes)
         orders = sorted({nu for *_, nu in terms})
         cols = dict(zip(orders, bessel_j_col(orders, args)))
-        f_at, f_side = nodes, side
-        if mirror:
-            f_at, f_side = (nodes, -1) if side else (math.pi - nodes, 0)
-        lam, phis = lerch_factor(alpha, beta, f_at, f_side)
+        lam, phis = _half_lerch(alpha, beta, nodes, side, mirror)
         products = (c * weights * f_phase(lam, phis, mu) * cols[nu] for c, mu, nu in terms)
         integrand = sum(products, next(products))  # a running sum; one term stays exact
         ends = itertools.accumulate(sizes)
@@ -198,6 +205,9 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
         check_inputs(r, abs_tol, rel_tol)
     # r enters the lowering only for a >= 0, where eval_lifted passes one r
     alpha, terms = _lower(spec, rs[0] if rs else 0.0)
+    if not all(math.isfinite(c) for c, *_ in terms):
+        raise ConvergenceError(f"{tag} lowering overflowed: a coefficient at a = {spec.a:g} "
+                               "is not finite")
     positive = [i for i, r in enumerate(rs) if r > 0.0]
 
     def evaluate(level, rows):
@@ -261,33 +271,36 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
                abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """Two-dimensional exponential oscillatory-integral route; requires a < 0.
 
-    phi runs on the Hankel route's mesh; theta on ``_theta_rule``'s midpoint
-    rule, which is exact to rounding on the part of the theta integrand that
-    carries the value (a full period of a periodic analytic function, aliased
-    only through J_{4n-nu}).  The other part meets the F weight plus - minus
-    (even mu) or plus + minus (odd mu), which is zero analytically, so it
-    feeds only the imaginary residue that ``err_est`` adds.  No Bessel routine
-    runs: the route checks the Hankel one independently.
+    The integrand is ``_lower``'s single term (c, mu, nu), c inside the
+    prefactor 2 i^{-mu} / pi^2.  phi runs on the Hankel route's mesh, with F
+    from ``_half_lerch``; theta on ``_theta_rule``'s midpoint rule, exact to
+    rounding on the part of the theta integrand that carries the value (a full
+    period of a periodic analytic function, aliased only through J_{4n-nu}).
+    The other part meets the F weight plus - minus (even mu) or plus + minus
+    (odd mu), zero analytically, so it feeds only the imaginary residue that
+    ``err_est`` adds.  No Bessel routine runs: the route checks the Hankel one
+    independently.
     """
     if spec.a >= 0.0:
         raise DomainError("eval_exp2d requires a < 0")
     check_inputs(r, abs_tol, rel_tol)
-    sp = spec.canonical()
-    p = FParams(-sp.a, sp.beta, sp.mu)
-    prefactor = 2.0 * (1j) ** (-sp.mu) / math.pi ** 2
+    if r == 0.0:
+        return EvalResult(0.0, 0.0, "exp2d", 0)
+    alpha, ((_, mu, nu),) = _lower(spec, r)
+    prefactor = 2.0 * (1j) ** (-mu) / math.pi ** 2
 
     def evaluate(level, _rows):
-        nodes, weights, eps, eps_w = _half_mesh(r, p.alpha, level)
+        nodes, weights, eps, eps_w = _half_mesh(r, alpha, level)
         # phi and pi - phi (eps on sides +1 and -1) have cosines of opposite
         # sign, so their kernels e^{+-i x} are conjugate: one real cos(x) and
         # one sin(x) per pair, x = 2 r cos(phi) cos(theta).  F is evaluated
         # on both sides, so the imaginary residue still checks the formula.
-        plus = np.concatenate((weights * f_eval_many(p, nodes),
-                               eps_w * f_eval_near_half_many(p, eps, side=1)))
-        minus = np.concatenate((weights * f_eval_many(p, math.pi - nodes),
-                                eps_w * f_eval_near_half_many(p, eps, side=-1)))
+        plus, minus = (
+            np.concatenate([w * f_phase(*_half_lerch(alpha, spec.beta, x, side, mirror), mu)
+                            for x, w, side in ((nodes, weights, 0), (eps, eps_w, 1))])
+            for mirror in (False, True))
         two_r_cphi = 2.0 * r * np.concatenate((np.cos(nodes), np.sin(eps)))
-        tn, tw = _theta_rule(r, sp.nu, level)
+        tn, tw = _theta_rule(r, nu, level)
         ctheta = np.cos(tn)
         rows = max(1, _KERNEL_CELLS // tn.size)
         cos_sum, sin_sum = np.empty_like(plus), np.empty_like(plus)

@@ -1,6 +1,9 @@
 """CLI behavior: JSON/CSV output shape, exit codes, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +105,21 @@ class TestEval:
             code, out, err = run(capsys, *argv, "--m", "0", "--mprime", "0")
         assert code == 3
         assert out == "" and err.startswith("error: ")
+
+    def test_overflowed_lowering_fails_quietly(self):
+        # the lowered coefficients overflow: one error line before any numpy
+        # arithmetic on them, so no RuntimeWarning reaches stderr
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["eval", "--method", "lifted", "--a", "104", "--beta", "1000",
+                "--m", "0", "--mprime", "0", "--r", "0.001"]
+        out = subprocess.run([sys.executable, "-m", "bnsum.cli", *argv], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 3 and out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: lifted lowering overflowed")
+        assert "RuntimeWarning" not in out.stderr
 
     def test_underflowing_substitution_exit_3(self, capsys):
         # at alpha = 0.03 the smallest eps = u^(1/alpha) nodes underflow to 0,

@@ -156,14 +156,6 @@ class TestBesselRows:
 
 
 class TestSeriesSpec:
-    def test_mu_nu(self):
-        sp = SeriesSpec(-1.0, 0.5, 3, 1)
-        assert sp.mu == 4 and sp.nu == 2
-
-    def test_canonical_swaps(self):
-        sp = SeriesSpec(-1.0, 0.0, 0, 2).canonical()
-        assert (sp.m, sp.m_prime) == (2, 0)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             SeriesSpec(0.0, -1.0, 0, 0)
