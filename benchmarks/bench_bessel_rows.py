@@ -1,10 +1,11 @@
-"""Benchmark the Bessel-row kernel against the numpy kernel ``_rows_numpy``,
+"""Benchmark the two Bessel-row kernels, the plain-Python loop
+``_rows_kernel`` and the numpy kernel ``_rows_numpy``, against each other,
 and the quadrature's Bessel column ``bessel_j_col``.
 
-The many-argument cases time ``bessel_rows`` only when numba is active (it
-runs the numpy kernel otherwise).  The one-argument case, 400 calls of one
-argument each at nmax 600, always does: ``bessel_rows`` runs the loop
-kernel there, compiled with numba and plain Python without.  The
+The many-argument cases time both kernels on the same arguments, although
+``bessel_rows`` sends calls of more than ``_LOOP_MAX_COLUMNS`` arguments to
+the numpy kernel.  The one-argument case, 400 calls of one argument each at
+nmax 600, times both kernels too; ``bessel_rows`` runs the loop there.  The
 oracle-length case times one one-argument row per r in {5, 50, 400, 1,000,
 2,000}, each at the nmax ``sum_series`` certifies at tol 1e-12 for
 m = m' = 0, a = 0, beta = 0: the rows every oracle sum runs.
@@ -17,9 +18,7 @@ takes 4,000 arguments spread uniformly below 25.  Each case, for nu in
 {0, 3}, prints the time of its ``bessel_j_col`` calls and the largest
 |error| against mpmath on 50 seeded arguments of them.
 
-Every multi-column result is checked bit for bit against the numpy kernel,
-and every one-argument row (of both one-argument cases) against the same row
-from ``_rows_numpy``.
+Every result of the loop is checked bit for bit against the numpy kernel's.
 
 Usage: python benchmarks/bench_bessel_rows.py [repeats]
 """
@@ -29,9 +28,8 @@ import time
 import mpmath
 import numpy as np
 
-from bnsum.backend import USE_NUMBA
 from bnsum.direct import _certified_length
-from bnsum.kernels import _rows_numpy, bessel_j_col, bessel_rows
+from bnsum.kernels import _rows_kernel, _rows_numpy, bessel_j_col
 from bnsum.quadrature import _half_mesh
 
 
@@ -61,40 +59,34 @@ def main():
         ("medium rows", 200, rng.uniform(1.0, 150.0, 2000)),
         ("large rows, few args", 1200, rng.uniform(100.0, 900.0, 200)),
     ]
-    if USE_NUMBA:
-        bessel_rows(8, np.array([1.0]))  # trigger jit compile outside the timing
-    print(f"numba available and active: {USE_NUMBA}")
-    print(f"{'case':28s} {'active':>10s} {'numpy':>10s} {'speedup':>8s}")
+    print(f"{'case':28s} {'loop':>10s} {'numpy':>10s} {'speedup':>8s}")
     for name, nmax, rs in cases:
+        t_loop = timeit(_rows_kernel, nmax, rs, repeats=repeats)
         t_numpy = timeit(_rows_numpy, nmax, rs, repeats=repeats)
-        if USE_NUMBA:
-            t_active = timeit(bessel_rows, nmax, rs, repeats=repeats)
-            print(f"{name:28s} {t_active * 1e3:8.2f}ms {t_numpy * 1e3:8.2f}ms "
-                  f"{t_numpy / t_active:7.1f}x")
-        else:
-            print(f"{name:28s} {'-':>10s} {t_numpy * 1e3:8.2f}ms {'':>8s}")
-        ref = _rows_numpy(nmax, rs)
-        got = bessel_rows(nmax, rs)
-        assert np.array_equal(ref, got), "backends disagree"
+        print(f"{name:28s} {t_loop * 1e3:8.2f}ms {t_numpy * 1e3:8.2f}ms "
+              f"{t_numpy / t_loop:7.2f}x")
+        assert np.array_equal(_rows_kernel(nmax, rs), _rows_numpy(nmax, rs)), \
+            "kernels disagree"
 
     one_arg = rng.uniform(1.0, 900.0, 400)
+    t_loop = timeit(_per_arg, _rows_kernel, one_arg, repeats=repeats)
     t_numpy = timeit(_per_arg, _rows_numpy, one_arg, repeats=repeats)
-    t_active = timeit(_per_arg, bessel_rows, one_arg, repeats=repeats)
-    print(f"{'400 calls x 1 arg':28s} {t_active * 1e3:8.2f}ms {t_numpy * 1e3:8.2f}ms "
-          f"{t_numpy / t_active:7.1f}x")
+    print(f"{'400 calls x 1 arg':28s} {t_loop * 1e3:8.2f}ms {t_numpy * 1e3:8.2f}ms "
+          f"{t_numpy / t_loop:7.2f}x")
     for r in one_arg:
-        assert np.array_equal(bessel_rows(ONE_ARG_NMAX, [r]),
-                              _rows_numpy(ONE_ARG_NMAX, np.array([r]))), "backends disagree"
+        arg = np.array([r])
+        assert np.array_equal(_rows_kernel(ONE_ARG_NMAX, arg),
+                              _rows_numpy(ONE_ARG_NMAX, arg)), "kernels disagree"
 
-    print(f"{'oracle-length row':28s} {'nmax':>7s} {'active':>10s} {'numpy':>10s}")
+    print(f"{'oracle-length row':28s} {'nmax':>7s} {'loop':>10s} {'numpy':>10s}")
     for r in ORACLE_RS:
         nmax = _certified_length(0, 0, 0.0, 0.0, r, 1e-12)
         arg = np.array([r])
+        t_loop = timeit(_rows_kernel, nmax, arg, repeats=repeats)
         t_numpy = timeit(_rows_numpy, nmax, arg, repeats=repeats)
-        t_active = timeit(bessel_rows, nmax, arg, repeats=repeats)
-        print(f"{f'r={r:g}':28s} {nmax:7d} {t_active * 1e3:8.3f}ms {t_numpy * 1e3:8.3f}ms")
-        assert np.array_equal(bessel_rows(nmax, arg), _rows_numpy(nmax, arg)), \
-            "backends disagree"
+        print(f"{f'r={r:g}':28s} {nmax:7d} {t_loop * 1e3:8.3f}ms {t_numpy * 1e3:8.3f}ms")
+        assert np.array_equal(_rows_kernel(nmax, arg), _rows_numpy(nmax, arg)), \
+            "kernels disagree"
 
     mpmath.mp.dps = 30
     print(f"{'bessel_j_col on the mesh':28s} {'args':>7s} {'time':>10s} {'max |err|':>10s}")

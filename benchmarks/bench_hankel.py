@@ -26,7 +26,7 @@ over the levels) and its ``err_est`` next to its distance from the oracle.
 With ``--json PATH`` it also writes every row (route, spec, r, work, warm ms,
 distance from the oracle or, for the grid, from ``eval_hankel``; for lifted
 also the term count) to PATH,
-with an environment block: numba on/off, CPU count, numpy and python versions.
+with an environment block: CPU count, numpy and python versions.
 
 Exits 1 if a Hankel value differs from the oracle (``sum_series`` at tol
 1e-13) by more than 1e-8, or if it does not converge; if an exp2d value
@@ -48,7 +48,6 @@ import time
 
 import numpy as np
 
-from bnsum.backend import USE_NUMBA
 from bnsum.direct import SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError
 from bnsum.quadrature import (_lower, _theta_rule, eval_exp2d, eval_hankel, eval_hankel_grid,
@@ -87,9 +86,9 @@ def main() -> int:
     args = ap.parse_args()
     repeats = args.repeats
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "numba": USE_NUMBA, "cpus": os.cpu_count(), "repeats": repeats}
+           "cpus": os.cpu_count(), "repeats": repeats}
     print(f"python {env['python']}, numpy {env['numpy']}, "
-          f"numba {'on' if USE_NUMBA else 'off'}, {env['cpus']} CPUs, best of {repeats}")
+          f"{env['cpus']} CPUs, best of {repeats}")
     failed = False
     rows = []  # one dict per printed row, for --json
 

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 from .asymptotics import (
@@ -34,6 +35,7 @@ from .harness import SUITES, run_suite
 from .quadrature import eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
 
 _METHODS = ("oracle", "hankel", "exp2d", "lifted", "asym", "auto")
+_REAL_FLAGS = ("--a", "--beta", "--r", "--r-start", "--r-end")
 _SWEEP_TOL = 1e-10  # the tolerance of every method of a sweep
 
 
@@ -138,7 +140,7 @@ def _sweep_row(spec: SeriesSpec, r: float, methods: list[str],
     for method in methods:
         if method == "hankel":
             continue  # evaluated for the whole grid at once
-        if method == "lifted" and (spec.a < 0.0 or r <= 0.0):
+        if method == "lifted" and spec.a < 0.0:
             continue
         if method == "asym" and r <= 0.0:
             continue
@@ -233,10 +235,22 @@ def _cmd_validate(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _attach_negative_reals(argv: list[str]) -> list[str]:
+    """``--a -1e-5`` as ``--a=-1e-5``: argparse takes a value that starts with
+    "-" only in the forms -1 and -1.5, and reads -1e-5 as an unknown flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _REAL_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_negative_reals(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

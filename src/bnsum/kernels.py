@@ -4,38 +4,35 @@
 ``J_0(r)..J_nmax(r)`` per column.  The recurrence runs downward from a start
 order safely above the turning point ``l ~ r`` (upward recurrence is unstable
 for order > argument) and is normalized with ``J_0 + 2*sum_k J_{2k} = 1``.
-For ``0 < r < _TINY_R`` the recurrence overflows, and the column is the
-leading term ``(r/2)^n / n!`` of the power series instead.
+Below ``_TINY_R`` it overflows; ``bessel_rows`` fills such a column itself
+with the power series' leading term ``(r/2)^n / n!`` (1, 0, 0, ... at 0).
 
-Two implementations are provided: a per-argument loop, ``_rows_kernel``, and
-a numpy kernel vectorized across arguments, ``_rows_numpy``.  With numba the
-loop is compiled and runs every call.  Without numba (not installed, or
-``BNSUM_NO_NUMBA=1``; see :mod:`bnsum.backend`) the loop runs as plain Python
-for calls of at most ``_LOOP_MAX_COLUMNS`` arguments and the numpy kernel runs
-the rest.  Both start each column at ``_start_order`` of its own argument and
-do the same arithmetic, so a column depends on its argument alone: whatever
-else a call holds and whichever kernel runs it, it is bit for bit the column
-of a one-argument call.
+Two kernels with one signature, ``kernel(nmax, rs) -> rows``, run the
+recurrence on the other columns: the per-argument loop ``_rows_kernel`` for
+calls of at most ``_LOOP_MAX_COLUMNS`` of them, the numpy kernel
+``_rows_numpy``, vectorized across arguments, for more.  Both start each
+column at ``_start_order`` of its own argument and do the same arithmetic,
+so a column depends on its argument alone: whatever else a call holds and
+whichever kernel runs it, it is bit for bit the column of a one-argument
+call.
 
-The loop is written so that, as plain Python, it runs on Python floats: it
-casts its argument with ``float(rs[j])``, and every step then does the same
-IEEE double arithmetic as with a numpy scalar, at a fraction of the cost.  It
-splits at ``nmax``: the orders above it (at least 20 of them) store nothing
-and so skip the store and its test; the orders ``nmax..0`` store into a 1-D
-view of the column, which a rescale scales from the current order up and one
-in-place division normalizes at the end.  Both halves stay compilable by
-numba.
+The loop runs on Python floats, which do the same IEEE double arithmetic as
+numpy scalars at a fraction of the cost.  It splits at ``nmax``: the orders
+above it (at least 20) store nothing and so skip the store and its test;
+the orders ``nmax..0`` store into a 1-D view of the column, which a rescale
+scales from the current order up and one in-place division normalizes.
 
-``bessel_j_col(nu, xs)``, a column of one order over many arguments (the
-quadrature's ``J_nu(2 r cos phi)``), has two regimes.  Below ``hankel_x0(nu)``
-it is row ``nu`` of ``bessel_rows``; from there on, where the recurrence would
-have to start above the largest argument, ``bessel_j_large`` sums Hankel's
-expansion (DLMF 10.17.3) in a fixed number of terms, the first neglected one
-below 1e-17.  In both a value depends on its argument alone, so batching
-arguments cannot move one.  Given several orders, ``bessel_j_col`` returns
-one column per order, all below the largest order's x0 read off one
-``bessel_rows`` call; an order below the largest then agrees with its
-one-order column to rounding (within 2e-15), not bit for bit.
+``bessel_j_col(orders, args)``, a column of one order over many arguments
+(the quadrature's ``J_nu(2 r cos phi)``), has two regimes.  Below
+``hankel_x0(nu)`` it is row ``nu`` of ``bessel_rows``; from there on, where
+the recurrence would have to start above the largest argument,
+``bessel_j_large`` sums Hankel's expansion (DLMF 10.17.3) in a fixed number
+of terms, the first neglected one below 1e-17.  In both a value depends on
+its argument alone, so batching arguments cannot move one.  Given several
+orders, ``bessel_j_col`` returns one column per order, all below the largest
+order's x0 read off one ``bessel_rows`` call; an order below the largest
+then agrees with its one-order column to rounding (within 2e-15), not bit
+for bit.
 """
 from __future__ import annotations
 
@@ -45,17 +42,16 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .backend import USE_NUMBA, njit
 from .errors import DomainError
 
 _RESCALE = 1e250
 _INV_RESCALE = 1e-250
-# Without numba, calls with at most this many arguments run the plain-Python
-# loop: its cost grows with the column count, the numpy kernel's per-order
-# overhead does not.  Best of 7 on 2 CPUs, numpy 2.4, r in [1, 100], numpy vs
-# loop: nmax 150 takes 1.36 vs 0.39 ms at 8 columns, 1.21 vs 0.92 at 16,
-# 1.22 vs 1.14 at 24 and 1.29 vs 1.60 at 32; nmax 600 takes 6.5 vs 2.1 ms at
-# 8, 4.3 vs 3.1 at 16, 4.2 vs 4.1 at 24 and 4.7 vs 5.9 at 32.
+# Calls with at most this many arguments run the plain-Python loop: its cost
+# grows with the column count, the numpy kernel's per-order overhead does
+# not.  Best of 7 on 2 CPUs, numpy 2.4, r in [1, 100], numpy vs loop: nmax
+# 150 takes 1.36 vs 0.39 ms at 8 columns, 1.21 vs 0.92 at 16, 1.22 vs 1.14
+# at 24 and 1.29 vs 1.60 at 32; nmax 600 takes 6.5 vs 2.1 ms at 8, 4.3 vs
+# 3.1 at 16, 4.2 vs 4.1 at 24 and 4.7 vs 5.9 at 32.
 _LOOP_MAX_COLUMNS = 24
 # Below this the step (2l/r)*jc overflows before a rescale can act (from
 # r ~ 1e-57 on); the power series' next term is smaller by (r/2)^2 < 1e-100.
@@ -75,53 +71,30 @@ def _start_order(nmax: int, rs: np.ndarray) -> np.ndarray:
     )
 
 
-@njit(cache=True)
-def _rows_kernel(nmax, rs, starts, out):  # pragma: no cover - exercised via wrapper
-    for j in range(rs.shape[0]):
-        r = float(rs[j])
+def _rows_kernel(nmax: int, rs: np.ndarray) -> np.ndarray:
+    """The recurrence, one column at a time."""
+    out = np.zeros((nmax + 1, rs.shape[0]))
+    for j, (r, m) in enumerate(zip(rs.tolist(), _start_order(nmax, rs).tolist())):
         col = out[:, j]
-        if r == 0.0:
-            col[0] = 1.0
-            col[1:] = 0.0
-            continue
-        if r < _TINY_R:  # (r/2)^n / n!, built as in _rows_numpy
-            term = 1.0
-            col[0] = term
-            for l in range(1, nmax + 1):
-                term = term * (0.5 * r) / l
-                col[l] = term
-            continue
-        m = int(starts[j])  # at least nmax + 20: nothing is stored at it
-        jp = 0.0
-        jc = 1e-300
+        jp, jc = 0.0, 1e-300
         norm = 2.0 * jc if m % 2 == 0 else 0.0
-        for l in range(m, nmax + 1, -1):  # orders m-1..nmax+1: nothing stored
-            jm = (2.0 * l / r) * jc - jp
-            jp = jc
-            jc = jm
+        for l in range(m, nmax + 1, -1):  # orders m-1..nmax+1, m >= nmax + 20: not stored
+            jp, jc = jc, (2.0 * l / r) * jc - jp
             if l % 2 == 1:  # even order l-1 > 0
                 norm += 2.0 * jc
             if abs(jc) > _RESCALE:
-                jc *= _INV_RESCALE
-                jp *= _INV_RESCALE
-                norm *= _INV_RESCALE
+                jc, jp, norm = jc * _INV_RESCALE, jp * _INV_RESCALE, norm * _INV_RESCALE
         for l in range(nmax + 1, 0, -1):  # orders nmax..0, stored
-            jm = (2.0 * l / r) * jc - jp
-            jp = jc
-            jc = jm
+            jp, jc = jc, (2.0 * l / r) * jc - jp
             order = l - 1
             col[order] = jc
             if order % 2 == 0:
-                if order > 0:
-                    norm += 2.0 * jc
-                else:
-                    norm += jc
+                norm += jc if order == 0 else 2.0 * jc
             if abs(jc) > _RESCALE:
-                jc *= _INV_RESCALE
-                jp *= _INV_RESCALE
-                norm *= _INV_RESCALE
+                jc, jp, norm = jc * _INV_RESCALE, jp * _INV_RESCALE, norm * _INV_RESCALE
                 col[order:] *= _INV_RESCALE
         col /= norm
+    return out
 
 
 def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
@@ -129,15 +102,13 @@ def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
     ``_start_order(nmax, rs)[j]``, as in the loop, so its values depend on
     nothing but its argument."""
     n = rs.shape[0]
-    zero = rs == 0.0
-    tiny = (rs > 0.0) & (rs < _TINY_R)
     starts = _start_order(nmax, rs)
     # columns by decreasing start, so those running at order l are a prefix,
     # of length ends[top - l]; ties may come in any order
     perm = np.argsort(-starts)
     top = int(starts.max(initial=0))
     ends = np.searchsorted(-starts[perm], -np.arange(top, 0, -1), side="right")
-    safe_r = np.where(zero | tiny, 1.0, rs)[perm]
+    sorted_r = rs[perm]
     out = np.zeros((nmax + 1, n))
     jp, jc, jm = np.zeros(n), np.zeros(n), np.zeros(n)
     norm = np.zeros(n)
@@ -149,7 +120,7 @@ def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
                 norm[k:end] = 2.0 * 1e-300
             k = end
             # views of the running prefix, rotated along with their buffers
-            r_k, p_k, c_k, m_k = safe_r[:k], jp[:k], jc[:k], jm[:k]
+            r_k, p_k, c_k, m_k = sorted_r[:k], jp[:k], jc[:k], jm[:k]
             norm_k, out_k = norm[:k], out[:, :k]
         np.divide(2.0 * l, r_k, out=m_k)
         m_k *= c_k
@@ -170,16 +141,6 @@ def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
             out_k[order:] *= scale
     out /= norm
     out[:, perm] = out.copy()
-    if zero.any():
-        out[:, zero] = 0.0
-        out[0, zero] = 1.0
-    if tiny.any():
-        half = 0.5 * rs[tiny]
-        term = np.ones(half.size)
-        out[0, tiny] = term
-        for l in range(1, nmax + 1):
-            term = term * half / l
-            out[l, tiny] = term
     return out
 
 
@@ -194,17 +155,25 @@ def bessel_rows(nmax: int, rs: np.ndarray) -> np.ndarray:
         raise ValueError("rs must be one-dimensional")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if rs.size == 0:
-        return np.zeros((nmax + 1, 0))
     # a NaN, infinite or negative argument has no start order; cast, it would
     # sort first and stop the recurrence of every column
-    if not (rs.min() >= 0.0 and rs.max() < math.inf):
+    if rs.size and not (rs.min() >= 0.0 and rs.max() < math.inf):
         raise ValueError("rs must be finite and >= 0")
-    if USE_NUMBA or rs.size <= _LOOP_MAX_COLUMNS:
-        out = np.zeros((nmax + 1, rs.shape[0]))
-        _rows_kernel(nmax, rs, _start_order(nmax, rs), out)
-        return out
-    return _rows_numpy(nmax, rs)
+    tiny = rs < _TINY_R
+    regular = rs[~tiny] if tiny.any() else rs
+    kernel = _rows_kernel if regular.size <= _LOOP_MAX_COLUMNS else _rows_numpy
+    if regular is rs:
+        return kernel(nmax, rs)
+    out = np.empty((nmax + 1, rs.size))
+    out[:, ~tiny] = kernel(nmax, regular)
+    # (r/2)^n / n!, which is 1, 0, 0, ... at r = 0
+    half = 0.5 * rs[tiny]
+    term = np.ones(half.size)
+    out[0, tiny] = term
+    for l in range(1, nmax + 1):
+        term = term * half / l
+        out[l, tiny] = term
+    return out
 
 
 # Truncation of Hankel's expansion: the first neglected term a_K(nu) / x0^K is

@@ -42,7 +42,7 @@ _PANELS_PER_PERIOD = 4  # oscillation resolution of the phi meshes
 # grow with r.  With rows of 66-532 theta nodes, warm eval_exp2d at r = 90 /
 # 200 took 10-16 / 25-39 ms (a=-0.5, mu=0) and 11-18 / 29-41 ms (a=-1.5,
 # mu=1) for every block size from 2^14 to 2^18 cells, within noise of each
-# other (best of 5, four runs each; 2 CPUs, one BLAS thread, numba off).
+# other (best of 5, four runs each; 2 CPUs, one BLAS thread).
 _KERNEL_CELLS = 1 << 16
 # default tolerances of the three routes: refinement stops once err_est is
 # at most max(abs_tol, rel_tol * |value|)
@@ -103,16 +103,20 @@ def _lower(spec: SeriesSpec, r: float):
     S = (2/pi) sum c Int_0^{pi/2} F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the
     (c, mu, nu) of ``terms``: the c_k of sum_k c_k J_{l+k} (l+beta)^(a-n) over
     k = m-n .. m+n after n = floor(a) + 1 steps (none for a < 0), with (-1)^min(k, m')
-    folded in.  An overflowed coefficient stays inf or NaN; ``_hankel`` rejects it."""
+    folded in.  An overflowed coefficient stays inf or NaN, so the steps stop at
+    the first one and ``_hankel`` rejects it."""
     m, mp, beta, half_r = spec.m, spec.m_prime, spec.beta, r / 2.0
     n = int(math.floor(spec.a)) + 1 if spec.a >= 0.0 else 0
-    orders = range(m - n, m + n + 1)
-    c = [0.0] * n + [1.0] + [0.0] * n
-    for _ in range(n):  # Python floats overflow to inf without a warning
+    c = [1.0]  # over k = m-s .. m+s after s steps
+    for s in range(n):  # Python floats overflow to inf without a warning
         c = [(beta - k) * c_k + half_r * (below + above)
-             for k, c_k, below, above in zip(orders, c, [0.0, *c], [*c[1:], 0.0])]
+             for k, c_k, below, above in zip(range(m - s - 1, m + s + 2), [0.0, *c, 0.0],
+                                             [0.0, 0.0, *c], [*c, 0.0, 0.0])]
+        if not all(map(math.isfinite, c)):
+            break
+    s = len(c) // 2
     terms = [(-c_k if min(k, mp) % 2 else c_k, k + mp, abs(k - mp))
-             for c_k, k in zip(c, orders) if c_k]
+             for c_k, k in zip(c, range(m - s, m + s + 1)) if c_k]
     return n - spec.a, terms
 
 
@@ -203,12 +207,14 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
     rs = [float(r) for r in rs]
     for r in rs:
         check_inputs(r, abs_tol, rel_tol)
+    positive = [i for i, r in enumerate(rs) if r > 0.0]
+    if not positive:  # r = 0 only, where the lowering may run all floor(a) + 1 steps
+        return [EvalResult(0.0, 0.0, tag, 0) for _ in rs]
     # r enters the lowering only for a >= 0, where eval_lifted passes one r
-    alpha, terms = _lower(spec, rs[0] if rs else 0.0)
+    alpha, terms = _lower(spec, rs[0])
     if not all(math.isfinite(c) for c, *_ in terms):
         raise ConvergenceError(f"{tag} lowering overflowed: a coefficient at a = {spec.a:g} "
                                "is not finite")
-    positive = [i for i, r in enumerate(rs) if r > 0.0]
 
     def evaluate(level, rows):
         r_rows = [rs[positive[i]] for i in rows]
@@ -319,11 +325,10 @@ def eval_lifted(spec: SeriesSpec, r: float, *,
                 abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """Lift a >= 0 to a Hankel-representable exponent via the Bessel recurrence.
 
-    The lifted series is a constant plus a combination of Hankel integrands,
-    integrated as one quadrature; ``work`` counts its (term, node) products.
+    The lifted series is a combination of Hankel integrands, integrated as
+    one quadrature; ``work`` counts its (term, node) products.  At r = 0 it is
+    the exact 0, as on the Hankel route.
     """
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")
-    if r == 0.0:
-        raise DomainError("eval_lifted requires r > 0")
     return _single(_hankel(spec, [r], True, abs_tol, rel_tol, "lifted"), "lifted")

@@ -35,6 +35,16 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == 0.0
 
+    @pytest.mark.parametrize("flag, value", [("--a", "-1e-5"), ("--a", "-2.5e0"),
+                                             ("--beta", "-5E-1"), ("--a", "-1.5")])
+    def test_negative_value_spaced_or_joined(self, capsys, flag, value):
+        # argparse alone reads "--a -1e-5" as --a followed by an unknown flag
+        spec = {"--a": "-0.5", "--beta": "0", "--m": "0", "--mprime": "0", "--r": "5"}
+        base = [arg for key, v in spec.items() if key != flag for arg in (key, v)]
+        spaced = run(capsys, "eval", *base, flag, value, "--method", "oracle")
+        joined = run(capsys, "eval", *base, f"{flag}={value}", "--method", "oracle")
+        assert spaced[0] == 0 and spaced == joined
+
     def test_hankel_matches_oracle(self, capsys):
         args = ["--a", "-0.5", "--beta", "0", "--m", "0", "--mprime", "0", "--r", "5"]
         _, out_h, _ = run(capsys, "eval", *args, "--method", "hankel")
@@ -179,7 +189,16 @@ class TestSweep:
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
         assert rows[0][4] == "" and rows[1][4] != ""
 
-    @pytest.mark.parametrize("r_end", ["-5", "0", "nan", "inf"])
+    def test_r_zero_lifted_is_zero(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--a", "0.5", "--beta", "0", "--m", "0",
+                         "--mprime", "0", "--r-start", "0", "--r-end", "2",
+                         "--points", "3", "--methods", "lifted", "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert rows[0][3] == "0" and float(rows[1][3]) > 0.0
+
+    @pytest.mark.parametrize("r_end", ["-5", "0", "nan", "inf", "-1e0"])
     def test_log_grid_bad_end_exit_2(self, capsys, tmp_path, r_end):
         out = tmp_path / "sweep.csv"
         code, _, err = run(capsys, "sweep", "--a", "-1.5", "--beta", "0", "--m", "0",

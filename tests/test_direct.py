@@ -1,8 +1,5 @@
 """Tests for the Bessel-row kernel and the certified direct summation."""
 import math
-import os
-import subprocess
-import sys
 
 import mpmath
 import numpy as np
@@ -43,12 +40,10 @@ class TestBesselRows:
         rs = np.array([0.5, 4.2, 33.0])
         assert np.array_equal(bessel_rows(20, rs), kernels._rows_numpy(20, rs))
 
-    def test_loop_kernel(self, monkeypatch):
-        # without numba the njit shim leaves _rows_kernel as plain Python;
+    def test_loop_kernel(self):
         # nmax = 600 at small r takes the rescale branch
-        monkeypatch.setattr(kernels, "USE_NUMBA", True)
-        rs = np.array([0.0, 0.3, 7.7, 80.0, 400.0])
-        rows = bessel_rows(600, rs)
+        rs = np.array([0.3, 7.7, 80.0, 400.0])
+        rows = kernels._rows_kernel(600, rs)
         assert np.array_equal(rows, kernels._rows_numpy(600, rs))
         for j, r in enumerate(rs):
             for n in (0, 3, 90, 600):
@@ -56,16 +51,16 @@ class TestBesselRows:
                 assert rows[n, j] == pytest.approx(want, abs=2e-15)
 
     def test_one_column_matches_numpy_bitwise(self):
-        # without numba a one-column call runs the plain loop, which does the
-        # numpy kernel's arithmetic; nmax = 600 at small r takes the rescale
+        # a one-column call runs the plain loop, a call of more than
+        # _LOOP_MAX_COLUMNS the numpy kernel, which does the same arithmetic;
+        # nmax = 600 at small r takes the rescale
         rng = np.random.default_rng(5)
         rs = [0.0, 1e-47, *10.0 ** rng.uniform(-3.0, 3.0, 20)]
         for r in rs:
             for nmax in (0, 1, 5, 600):
                 got = bessel_rows(nmax, [r])
-                assert np.array_equal(got, kernels._rows_numpy(nmax, np.array([r])),
-                                      equal_nan=True), \
-                    (nmax, r)
+                wide = bessel_rows(nmax, np.full(kernels._LOOP_MAX_COLUMNS + 1, r))
+                assert np.array_equal(np.repeat(got, wide.shape[1], axis=1), wide), (nmax, r)
 
     def test_rescale_at_phase_boundary_matches_numpy_bitwise(self):
         # at small r the recurrence rescales every few orders, so over nmax
@@ -84,9 +79,11 @@ class TestBesselRows:
             calls.append(rs.size)
             return numpy_kernel(nmax, rs)
 
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
         monkeypatch.setattr(kernels, "_rows_numpy", recording)
         bessel_rows(30, np.array([7.7]))
+        assert calls == []
+        # columns below _TINY_R never reach a kernel, so they do not count
+        bessel_rows(30, np.concatenate([np.zeros(10), np.linspace(0.1, 40.0, 20)]))
         assert calls == []
         bessel_rows(30, np.linspace(0.1, 40.0, 64))
         assert calls == [64]
@@ -112,47 +109,49 @@ class TestBesselRows:
         alone = np.concatenate([bessel_rows(nmax, g) for g in groups], axis=1)
         assert np.array_equal(rows, alone)
 
-    def test_zero_argument(self):
-        row = bessel_rows(4, np.array([0.0]))[:, 0]
-        assert row[0] == 1.0
-        assert np.all(row[1:] == 0.0)
+    def test_kernels_never_see_tiny_arguments(self, monkeypatch):
+        seen = []
 
-    def test_tiny_r_leading_term(self, monkeypatch):
+        def recording(kernel):
+            def wrapper(nmax, rs):
+                seen.append((kernel.__name__, rs.copy()))
+                return kernel(nmax, rs)
+            return wrapper
+
+        for name in ("_rows_kernel", "_rows_numpy"):
+            monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
+        tiny = np.array([0.0, 5e-324, 1e-60, 9.9e-51])
+        for rs in (tiny[:1], np.concatenate([tiny, [1e-50, 3.0]]),
+                   np.concatenate([tiny, np.linspace(0.1, 40.0, 40)]), np.tile(tiny, 10)):
+            bessel_rows(12, rs)
+        assert {name for name, _ in seen} == {"_rows_kernel", "_rows_numpy"}
+        assert all(np.all(rs >= kernels._TINY_R) for _, rs in seen)
+
+    def test_zero_argument(self):
+        # 1, 0, 0, ... exactly, alone and among more than _LOOP_MAX_COLUMNS columns
+        rs = np.concatenate([[0.0], np.linspace(0.1, 40.0, 30)])
+        for nmax in (0, 4, 600):
+            row = bessel_rows(nmax, np.array([0.0]))
+            assert row[0, 0] == 1.0
+            assert np.all(row[1:] == 0.0) and not np.signbit(row).any()
+            assert np.array_equal(bessel_rows(nmax, rs)[:, :1], row)
+
+    def test_tiny_r_leading_term(self):
         # below 1e-50 the recurrence overflows; J_n(r) = (r/2)^n / n! to
         # 1e-100 relative, down to 0 where that underflows
-        monkeypatch.setattr(kernels, "USE_NUMBA", True)
         rs = np.array([1e-51, 1e-60, 1e-100, 1e-300, 5e-324])
+        wide = np.concatenate([rs, np.linspace(0.1, 40.0, 30)])
         for nmax in (0, 1, 5, 40):
-            rows = bessel_rows(nmax, rs)  # the loop kernel on every column
-            assert np.array_equal(rows, kernels._rows_numpy(nmax, rs))
+            rows = bessel_rows(nmax, rs)
+            assert np.array_equal(rows, bessel_rows(nmax, wide)[:, :rs.size])
             for j, r in enumerate(rs):
-                assert np.array_equal(rows[:, j], kernels._rows_numpy(nmax, rs[j:j + 1])[:, 0])
+                assert np.array_equal(rows[:, j], bessel_rows(nmax, rs[j:j + 1])[:, 0])
                 half = mpmath.mpf(float(r)) / 2
                 for n in range(nmax + 1):
                     lead = float(half ** n / mpmath.factorial(n))
                     want = float(mpmath.besselj(n, mpmath.mpf(float(r))))
                     assert lead == want
                     assert rows[n, j] == pytest.approx(want, rel=1e-15, abs=1e-320), (n, r)
-
-    def test_no_numba_env_flag(self):
-        # BNSUM_NO_NUMBA turns numba off: this one-column call runs the
-        # plain-Python loop and agrees with mpmath
-        code = (
-            "import numpy as np\n"
-            "from bnsum.kernels import bessel_rows\n"
-            "from bnsum.backend import USE_NUMBA\n"
-            "assert not USE_NUMBA\n"
-            "print('%.17g' % bessel_rows(3, np.array([7.7]))[3, 0])\n"
-        )
-        # import the package under test, also from an uninstalled checkout
-        src = os.path.dirname(os.path.dirname(kernels.__file__))
-        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, BNSUM_NO_NUMBA="1", PYTHONPATH=pythonpath)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        want = float(mpmath.besselj(3, 7.7))
-        assert float(out.stdout) == pytest.approx(want, abs=1e-15)
 
 
 class TestSeriesSpec:

@@ -1,5 +1,6 @@
 """Integral-representation routes against the certified direct sum."""
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -69,9 +70,12 @@ class TestHankel:
         assert res.work < 20_000
 
     def test_r_zero(self):
-        # the exact 0, without a quadrature, on both routes
+        # the exact 0, without a quadrature, on every route
         for route, tag in ((eval_hankel, "hankel"), (eval_exp2d, "exp2d")):
             assert route(SeriesSpec(-1.5, 0.5, 1, 0), 0.0) == EvalResult(0.0, 0.0, tag, 0)
+        # before the lowering, which at r = 0 need not overflow: 10^9 steps
+        for a in (0.5, 1e9):
+            assert eval_lifted(SeriesSpec(a, 0.5, 0, 0), 0.0) == EvalResult(0.0, 0.0, "lifted", 0)
 
     def test_canonicalizes_order_swap(self):
         # the series is symmetric in m, m': both routes agree bit for bit
@@ -384,6 +388,29 @@ class TestLifted:
             eval_lifted(SeriesSpec(300.0, 0.0, 0, 0), 5.0)
         assert levels == []
 
+    def test_overflowed_lowering_stops_early(self):
+        # at r = 5 the coefficients overflow within a few hundred of the
+        # 20,001 steps, and an overflowed one never becomes finite again
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="lowering overflowed"):
+            eval_lifted(SeriesSpec(20000.0, 0.0, 0, 0), 5.0)
+        assert time.perf_counter() - t0 < 3.0
+
+    @pytest.mark.parametrize("a, beta, m, mp", [(0.0, 0.3, 0, 0), (2.9, 0.3, 0, 3),
+                                                (7.0, 1.0, 2, 5), (40.0, 0.0, 0, 0)])
+    def test_lower_matches_fixed_width_steps(self, a, beta, m, mp):
+        # growing the coefficient list with its support gives, bit for bit,
+        # the steps over all 2n + 1 orders from the start
+        n = int(a) + 1
+        for r in (0.5, 5.0, 50.0):
+            c = [0.0] * n + [1.0] + [0.0] * n
+            for _ in range(n):
+                c = [(beta - k) * c_k + r / 2.0 * (below + above) for k, c_k, below, above
+                     in zip(range(m - n, m + n + 1), c, [0.0, *c], [*c[1:], 0.0])]
+            want = [(-c_k if min(k, mp) % 2 else c_k, k + mp, abs(k - mp))
+                    for c_k, k in zip(c, range(m - n, m + n + 1)) if c_k]
+            assert quadrature._lower(SeriesSpec(a, beta, m, mp), r) == (n - a, want)
+
     def test_cancellation_beyond_repair_raises(self):
         # a = 200 at r = 5: the combination stays finite, but cancellation
         # leaves no correct digit, so the levels never agree
@@ -396,11 +423,9 @@ class TestLifted:
         want = oracle(0.0, 0.0, 0, 0, 5.0)
         assert res.value == pytest.approx(want, abs=1e-7)
 
-    def test_rejects_negative_a_and_zero_r(self):
+    def test_rejects_negative_a(self):
         with pytest.raises(DomainError):
             eval_lifted(SeriesSpec(-0.5, 0.0, 0, 0), 1.0)
-        with pytest.raises(DomainError):
-            eval_lifted(SeriesSpec(0.5, 0.0, 0, 0), 0.0)
 
     @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-2, 1), (-3, -1), (2, -2), (1, 3), (-1, 4)])
     def test_neumann_holds_at_negative_orders(self, p, q):
