@@ -18,6 +18,10 @@ takes 4,000 arguments spread uniformly below 25.  Each case, for nu in
 {0, 3}, prints the time of its ``bessel_j_col`` calls and the largest
 |error| against mpmath on 50 seeded arguments of them.
 
+The crossover case times both kernels at nmax 150 and 600 on 8, 16, 24 and
+32 arguments drawn from [1, 100], the measurement ``_LOOP_MAX_COLUMNS``
+rests on.
+
 Every result of the loop is checked bit for bit against the numpy kernel's.
 
 Usage: python benchmarks/bench_bessel_rows.py [repeats]
@@ -87,6 +91,16 @@ def main():
         print(f"{f'r={r:g}':28s} {nmax:7d} {t_loop * 1e3:8.3f}ms {t_numpy * 1e3:8.3f}ms")
         assert np.array_equal(_rows_kernel(nmax, arg), _rows_numpy(nmax, arg)), \
             "kernels disagree"
+
+    print(f"{'crossover':28s} {'columns':>7s} {'loop':>10s} {'numpy':>10s}")
+    for nmax in (150, 600):
+        for n in (8, 16, 24, 32):
+            rs = rng.uniform(1.0, 100.0, n)
+            t_loop = timeit(_rows_kernel, nmax, rs, repeats=repeats)
+            t_numpy = timeit(_rows_numpy, nmax, rs, repeats=repeats)
+            print(f"{f'nmax={nmax}':28s} {n:7d} {t_loop * 1e3:8.2f}ms {t_numpy * 1e3:8.2f}ms")
+            assert np.array_equal(_rows_kernel(nmax, rs), _rows_numpy(nmax, rs)), \
+                "kernels disagree"
 
     mpmath.mp.dps = 30
     print(f"{'bessel_j_col on the mesh':28s} {'args':>7s} {'time':>10s} {'max |err|':>10s}")

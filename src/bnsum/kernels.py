@@ -1,9 +1,12 @@
 """Hot numeric kernels: integer-order Bessel J rows and columns.
 
 ``bessel_rows(nmax, rs)`` returns a ``(nmax+1, len(rs))`` array with
-``J_0(r)..J_nmax(r)`` per column.  The recurrence runs downward from a start
-order safely above the turning point ``l ~ r`` (upward recurrence is unstable
-for order > argument) and is normalized with ``J_0 + 2*sum_k J_{2k} = 1``.
+``J_0(r)..J_nmax(r)`` per column.  The recurrence runs downward (upward
+recurrence is unstable for order > argument) and is normalized with
+``J_0 + 2*sum_k J_{2k} = 1``.  It starts where Kapteyn's bound
+``|J_n(r)| <= exp(-h(n))`` (``kapteyn``) has fallen far enough past the
+turning point ``l ~ r`` and past ``nmax``: the smallest order ``M`` with
+``h(M) >= max(38, h(max(nmax, ceil r)) + 20)``: 156 at r = 100 for nmax 128.
 Below ``_TINY_R`` it overflows; ``bessel_rows`` fills such a column itself
 with the power series' leading term ``(r/2)^n / n!`` (1, 0, 0, ... at 0).
 
@@ -11,16 +14,18 @@ Two kernels with one signature, ``kernel(nmax, rs) -> rows``, run the
 recurrence on the other columns: the per-argument loop ``_rows_kernel`` for
 calls of at most ``_LOOP_MAX_COLUMNS`` of them, the numpy kernel
 ``_rows_numpy``, vectorized across arguments, for more.  Both start each
-column at ``_start_order`` of its own argument and do the same arithmetic,
-so a column depends on its argument alone: whatever else a call holds and
-whichever kernel runs it, it is bit for bit the column of a one-argument
-call.
+column at the start order of its own argument (``_start_order`` in the
+loop, its vector form ``_start_orders`` in the numpy kernel, equal integer
+for integer) and do the same arithmetic, so a column depends on its
+argument alone: whatever else a call holds and whichever kernel runs it, it
+is bit for bit the column of a one-argument call.
 
 The loop runs on Python floats, which do the same IEEE double arithmetic as
 numpy scalars at a fraction of the cost.  It splits at ``nmax``: the orders
-above it (at least 20) store nothing and so skip the store and its test;
-the orders ``nmax..0`` store into a 1-D view of the column, which a rescale
-scales from the current order up and one in-place division normalizes.
+above it store nothing and so skip the store and its test; the orders
+``nmax..0`` are appended to a list, written into the column once, scaled by
+each rescale from its order up in the order they happened, and normalized by
+one in-place division.
 
 ``bessel_j_col(orders, args)``, a column of one order over many arguments
 (the quadrature's ``J_nu(2 r cos phi)``), has two regimes.  Below
@@ -48,61 +53,107 @@ _RESCALE = 1e250
 _INV_RESCALE = 1e-250
 # Calls with at most this many arguments run the plain-Python loop: its cost
 # grows with the column count, the numpy kernel's per-order overhead does
-# not.  Best of 7 on 2 CPUs, numpy 2.4, r in [1, 100], numpy vs loop: nmax
-# 150 takes 1.36 vs 0.39 ms at 8 columns, 1.21 vs 0.92 at 16, 1.22 vs 1.14
-# at 24 and 1.29 vs 1.60 at 32; nmax 600 takes 6.5 vs 2.1 ms at 8, 4.3 vs
-# 3.1 at 16, 4.2 vs 4.1 at 24 and 4.7 vs 5.9 at 32.
+# not.  Best of 7 on 2 CPUs, numpy 2.4, r in [1, 100], numpy vs loop
+# (benchmarks/bench_bessel_rows.py): nmax 150 takes 1.37 vs 0.44 ms at 8
+# columns, 1.36 vs 0.90 at 16, 1.40 vs 1.39 at 24 and 1.39 vs 1.77 at 32;
+# nmax 600 takes 4.9 vs 1.6 ms at 8, 5.2 vs 3.2 at 16, 5.3 vs 4.9 at 24 and
+# 5.7 vs 6.6 at 32.
 _LOOP_MAX_COLUMNS = 24
 # Below this the step (2l/r)*jc overflows before a rescale can act (from
 # r ~ 1e-57 on); the power series' next term is smaller by (r/2)^2 < 1e-100.
 _TINY_R = 1e-50
 
 
-def _start_order(nmax: int, rs: np.ndarray) -> np.ndarray:
-    """Recurrence start order for each argument in ``rs``."""
-    # Must clear the turning point: for r >> nmax the minimal solution only
-    # starts decaying past l ~ r, so the start order is anchored at
-    # max(nmax, r), not nmax alone.
-    big = np.maximum(np.maximum(float(nmax), rs), 1.0)
-    return (
-        np.maximum(nmax, np.ceil(rs)).astype(np.int64)
-        + 10
-        + np.ceil(10.0 * np.sqrt(big)).astype(np.int64)
-    )
+def kapteyn(n, r, log_r, xp=math):
+    """``(h, dh/dn)`` of Kapteyn's bound ``|J_n(r)| <= exp(-h(n))`` for
+    ``n >= r`` (DLMF 10.14.5, Watson 8.7): ``h = n arccosh(n/r) -
+    sqrt(n^2 - r^2)``, ``dh/dn = arccosh(n/r)``, with ``log_r = log(r)``.
+
+    ``h`` is convex and grows from 0 at ``n = r``, so the bound falls past the
+    turning point, each order by at least the factor ``exp(-dh/dn)``.  ``xp``
+    is ``math`` for scalars or ``numpy`` for arrays.
+    """
+    s = xp.sqrt((n - r) * (n + r))
+    w = xp.log(n + s) - log_r
+    return n * w - s, w
+
+
+# The start order M is the smallest past n* = max(nmax, ceil(r)) with
+# h(M) >= max(38, h(n*) + 20), h Kapteyn's exponent.  The recurrence's
+# relative error at a stored order n past the turning point is about
+# exp(-2 (h(M) - h(n))), hence the 20.  The normalization sum misses about
+# J_M, so its error goes like exp(-h(M)), hence the 38: at r = 80, nmax = 12
+# a start of 114 was 3.9e-12 off mpmath and one of 122 1.6e-15.
+def _newton_start(n_star, r, log_r, target, xp):
+    """Three Newton steps on the concave target - h(x): the first, from
+    n* + 1 + 10 r^(1/3), lands right of the root, the others stay there."""
+    x = n_star + 1.0 + 10.0 * r ** (1.0 / 3.0)
+    for _ in range(3):
+        h, w = kapteyn(x, r, log_r, xp)
+        x += (target - h) / w
+    return x
+
+
+def _start_order(nmax: int, r: float) -> int:
+    """Recurrence start order for one argument: the loop's scalar form."""
+    n_star = float(max(nmax, math.ceil(r)))
+    log_r = math.log(r)
+    target = max(38.0, kapteyn(n_star, r, log_r)[0] + 20.0)
+    return math.ceil(_newton_start(n_star, r, log_r, target, math))
+
+
+def _start_orders(nmax: int, rs: np.ndarray) -> np.ndarray:
+    """``_start_order`` of every argument in ``rs``: the numpy kernel's form,
+    equal to the scalar one integer for integer."""
+    n_star = np.maximum(float(nmax), np.ceil(rs))
+    log_r = np.log(rs)
+    target = np.maximum(38.0, kapteyn(n_star, rs, log_r, np)[0] + 20.0)
+    x = _newton_start(n_star, rs, log_r, target, np)
+    starts = np.ceil(x).astype(np.int64)
+    # np.log and math.log differ in the last bit for about one argument in a
+    # thousand, which moves x by up to 5e-15 relative; where that could move
+    # the ceiling, the scalar form decides
+    near = np.abs(x - np.rint(x)) < 1e-9 * x
+    starts[near] = [_start_order(nmax, r) for r in rs[near].tolist()]
+    return starts
 
 
 def _rows_kernel(nmax: int, rs: np.ndarray) -> np.ndarray:
     """The recurrence, one column at a time."""
     out = np.zeros((nmax + 1, rs.shape[0]))
-    for j, (r, m) in enumerate(zip(rs.tolist(), _start_order(nmax, rs).tolist())):
-        col = out[:, j]
+    for j, r in enumerate(rs.tolist()):
+        m = _start_order(nmax, r)
         jp, jc = 0.0, 1e-300
         norm = 2.0 * jc if m % 2 == 0 else 0.0
-        for l in range(m, nmax + 1, -1):  # orders m-1..nmax+1, m >= nmax + 20: not stored
+        for l in range(m, nmax + 1, -1):  # orders m-1..nmax+1, m > nmax: not stored
             jp, jc = jc, (2.0 * l / r) * jc - jp
             if l % 2 == 1:  # even order l-1 > 0
                 norm += 2.0 * jc
             if abs(jc) > _RESCALE:
                 jc, jp, norm = jc * _INV_RESCALE, jp * _INV_RESCALE, norm * _INV_RESCALE
+        vals, rescales = [], []
         for l in range(nmax + 1, 0, -1):  # orders nmax..0, stored
             jp, jc = jc, (2.0 * l / r) * jc - jp
-            order = l - 1
-            col[order] = jc
-            if order % 2 == 0:
-                norm += jc if order == 0 else 2.0 * jc
+            vals.append(jc)
+            if l % 2 == 1:  # even order l-1
+                norm += jc if l == 1 else 2.0 * jc
             if abs(jc) > _RESCALE:
                 jc, jp, norm = jc * _INV_RESCALE, jp * _INV_RESCALE, norm * _INV_RESCALE
-                col[order:] *= _INV_RESCALE
+                rescales.append(l - 1)
+        col = out[:, j]
+        col[:] = vals[::-1]
+        for order in rescales:  # each stored value meets the rescales after it, in order
+            col[order:] *= _INV_RESCALE
         col /= norm
     return out
 
 
 def _rows_numpy(nmax: int, rs: np.ndarray) -> np.ndarray:
     """The recurrence, vectorized across columns.  Column j starts at
-    ``_start_order(nmax, rs)[j]``, as in the loop, so its values depend on
+    ``_start_orders(nmax, rs)[j]``, as in the loop, so its values depend on
     nothing but its argument."""
     n = rs.shape[0]
-    starts = _start_order(nmax, rs)
+    starts = _start_orders(nmax, rs)
     # columns by decreasing start, so those running at order l are a prefix,
     # of length ends[top - l]; ties may come in any order
     perm = np.argsort(-starts)

@@ -7,8 +7,11 @@ import pytest
 
 from bnsum import kernels
 from bnsum.direct import (
+    _HARD_CAP,
     DERIVATIVE_KINDS,
     SeriesSpec,
+    _certified_length,
+    _derivative_arrays,
     sum_derivative_series,
     sum_series,
 )
@@ -24,6 +27,12 @@ def mp_series(a, beta, r, product):
         rr = mpmath.mpf(r)
         return mpmath.fsum(product(l, rr) * (l + mpmath.mpf(beta)) ** a
                            for l in range(1, int(1.36 * r) + 80))
+
+
+def kapteyn_h(n, r):
+    """Kapteyn's exponent n arccosh(n/r) - sqrt(n^2 - r^2), n >= r, written
+    apart from ``kernels.kapteyn``."""
+    return n * math.acosh(n / r) - math.sqrt(n * n - r * r)
 
 
 class TestBesselRows:
@@ -153,6 +162,53 @@ class TestBesselRows:
                     assert lead == want
                     assert rows[n, j] == pytest.approx(want, rel=1e-15, abs=1e-320), (n, r)
 
+    def test_start_orders_meet_the_kapteyn_margin(self):
+        # the smallest M past n* = max(nmax, ceil(r)) with h(M) >= max(38,
+        # h(n*) + 20), and the scalar form (the loop) equals the vector form
+        # (the numpy kernel) integer for integer
+        rng = np.random.default_rng(26)
+        for nmax in (0, 1, 5, 12, 40, 150, 600, 2000):
+            rs = np.concatenate([10.0 ** rng.uniform(-50.0, 4.0, 4000),
+                                 rng.uniform(kernels._TINY_R, 25.0, 1000)])
+            starts = kernels._start_orders(nmax, rs)
+            assert starts.tolist() == [kernels._start_order(nmax, r) for r in rs.tolist()]
+            for r, m in zip(rs[::25].tolist(), starts[::25].tolist()):
+                n_star = max(nmax, math.ceil(r))
+                target = max(38.0, kapteyn_h(n_star, r) + 20.0)
+                assert kapteyn_h(m, r) >= target, (nmax, r, m)
+                assert m - 1 == n_star or kapteyn_h(m - 1, r) < target, (nmax, r, m)
+
+    @pytest.mark.parametrize("nmax, r", [(5, 47.298563304368805), (0, 135.72325355561395),
+                                         (0, 8.83609172070774), (12, 140.09056559954817)])
+    def test_start_orders_agree_at_a_ceiling_crossing(self, nmax, r):
+        # r on a step of the start order, found by bisection: the last Newton
+        # iterate is within rounding of an integer, and np.log rounds it to
+        # the other side than math.log does, so the vector form's ceiling
+        # alone would be one off; the scalar form decides there
+        n_star = float(max(nmax, math.ceil(r)))
+        log_r = math.log(r)
+        target = max(38.0, kernels.kapteyn(n_star, r, log_r)[0] + 20.0)
+        x = kernels._newton_start(n_star, r, log_r, target, math)
+        assert abs(x - round(x)) < 1e-9 * x
+        assert kernels._start_orders(nmax, np.array([r]))[0] == kernels._start_order(nmax, r)
+
+    def test_short_starts_against_mpmath(self):
+        # where a start too close to the turning point would show: few
+        # stored orders at r in the quadrature's [20, 250], nmax right at
+        # the turning point, and many orders at a small r
+        rng = np.random.default_rng(27)
+        cases = [(int(n), float(r)) for n, r in
+                 zip(rng.integers(0, 13, 8), rng.uniform(20.0, 250.0, 8))]
+        for r in rng.uniform(20.0, 250.0, 3):
+            cases += [(math.ceil(r) - 1, r), (math.ceil(r) + 1, r)]
+        cases.append((600, 0.3))
+        for nmax, r in cases:
+            row = bessel_rows(nmax, np.array([r]))[:, 0]
+            orders = sorted({*range(min(nmax, 12) + 1), *np.linspace(0, nmax, 9).astype(int)})
+            for n in orders:
+                want = float(mpmath.besselj(n, mpmath.mpf(r)))
+                assert row[n] == pytest.approx(want, abs=2e-15), (nmax, r, n)
+
 
 class TestSeriesSpec:
     def test_domain(self):
@@ -216,15 +272,45 @@ class TestSumSeries:
             sum_series(SeriesSpec(a, 0.0, 0, 0), r)
 
     def test_certified_tolerance(self):
+        # a tol above 1 leaves no term bound to fall below it in the search
         sp = SeriesSpec(2.0, 0.0, 0, 0)
-        loose = sum_series(sp, 25.0, tol=1e-6)
         tight = sum_series(sp, 25.0, tol=1e-13)
-        assert abs(loose.value - tight.value) <= loose.err_est
+        for tol in (1e-6, 10.0):
+            loose = sum_series(sp, 25.0, tol=tol)
+            assert abs(loose.value - tight.value) <= loose.err_est
 
     def test_large_r_runs(self):
         res = sum_series(SeriesSpec(-1.0, 0.0, 0, 0), 800.0)
         assert math.isfinite(res.value)
-        assert res.work < 3000
+        assert res.work <= 1.15 * 800.0
+
+    def test_reach_under_the_cap(self):
+        res = sum_series(SeriesSpec(-0.5, 0.0, 0, 0), 9e5)
+        assert math.isfinite(res.value) and res.work < _HARD_CAP
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_certified_tail_below_tol(self, derivative):
+        # the tail past the certified length, summed from a row twice as long
+        rng = np.random.default_rng(28 + derivative)
+        for _ in range(40):
+            a, beta = rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 2.0)
+            m, mp = (int(v) for v in rng.integers(0, 4, 2))
+            r, tol = rng.uniform(0.5, 2000.0), float(rng.choice([1e-8, 1e-12]))
+            if derivative:
+                length = _certified_length(-2, -2, a, beta, r, tol)
+                arrays = _derivative_arrays(
+                    bessel_rows(2 * length + 2, np.array([r]))[:, 0], 2 * length)
+                factor = np.maximum(np.maximum(np.abs(arrays["J"]), np.abs(arrays["dJ"])),
+                                    np.abs(arrays["ddJ"]))
+                x = y = factor[length:]
+            else:
+                length = _certified_length(m, mp, a, beta, r, tol)
+                row = bessel_rows(2 * length + max(m, mp), np.array([r]))[:, 0]
+                x = row[length + 1 + mp: 2 * length + 1 + mp]
+                y = row[length + 1 + m: 2 * length + 1 + m]
+            l = np.arange(length + 1, 2 * length + 1)
+            tail = float(np.sum(np.abs(x * y) * (l + beta) ** a))
+            assert tail <= tol, (a, beta, m, mp, r, tol, length, tail)
 
 
 class TestDerivativeSeries:
@@ -256,6 +342,16 @@ class TestDerivativeSeries:
     def test_nonfinite_raises(self):
         with pytest.raises(ToleranceError):
             sum_derivative_series("JJ", 200.0, 0.0, 5.0)
+
+    @pytest.mark.parametrize("kind", DERIVATIVE_KINDS)
+    def test_zero_r(self, kind):
+        # J'_1(0) = 1/2 and J''_2(0) = 1/4 are the only nonzero factors at 0,
+        # and r = 1e-300 already reads the same
+        a, beta = -1.0, 0.0
+        want = {"dJdJ": (1.0 + beta) ** a / 4.0, "ddJddJ": (2.0 + beta) ** a / 16.0}.get(kind, 0.0)
+        assert sum_derivative_series(kind, a, beta, 0.0).value == want
+        near = sum_derivative_series(kind, a, beta, 1e-300).value
+        assert near == pytest.approx(want, rel=1e-15, abs=1e-299)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
