@@ -1,23 +1,45 @@
-"""Benchmark the amplitude F on far angles: cached Chebyshev expansion vs quadrature.
+"""Benchmark the Lerch factor of F: the far table, its accuracy and the local series.
 
 ``f_phase(*lerch_factor(...))`` evaluates F at every far angle
 (``|2 phi - pi| >= 0.35``) from a Chebyshev expansion of the Lerch factor,
 built once per ``(alpha, beta+1)`` from the quadrature
-``specfun._lerch_integral_many`` at 128 angles.  This times it on 4,096 seeded
-far angles cold (cache cleared, so the build is included) and warm, against F
-formed from the quadrature at every angle, as it was before the expansion.  The quadrature runs in blocks of 512
-angles so that its ``(t nodes, angles)`` matrix stays under ~75 MB.
+``specfun._lerch_integral_many`` at 128 angles.  For each case this prints
+the quadrature's t-node count, the best-of-N cold build of the table
+(``specfun._far_coeffs``, cache cleared) and the build's ``tracemalloc``
+peak.  It then times F on 4,096 seeded far angles cold (the build included)
+and warm, against F formed from the quadrature at every angle, and prints the
+largest difference of the two relative to max|F|.  Last come the largest
+deviations of the quadrature and of the cached expansion from 20-digit
+``mpmath.lerchphi`` at 8 far angles, relative to max|Phi|.
 
-Exits 1 if the two differ by more than 1e-13 of max|F| in any case.
+One more row times ``specfun.lerch_local_many`` (warm, alpha = 0.5 and 2,
+v = 1) on 1,000, 5,000 and 20,000 seeded points ell in [-0.8, 0.8], the
+reach of the near-angle nodes.
 
-Usage: python benchmarks/bench_lerch.py [repeats]
+It runs on one BLAS thread, as ``perfbench`` does, unless
+``OPENBLAS_NUM_THREADS`` says otherwise: on a 2-CPU host, waking BLAS worker
+threads for the build's two small products cost 4-16 ms per build.
+
+With ``--json PATH`` it also writes every row to PATH, with an environment
+block: CPU count, BLAS threads, numpy and python versions, repeats.
+
+Exits 1 if the cached expansion and the quadrature differ by more than 1e-13
+of max|F| in any case.
+
+Usage: python benchmarks/bench_lerch.py [repeats] [--json PATH]
 """
+import argparse
+import json
 import math
 import os
 import platform
 import sys
 import time
+import tracemalloc
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import mpmath
 import numpy as np
 
 from bnsum import specfun
@@ -25,7 +47,11 @@ from bnsum.fseries import f_phase, lerch_factor
 
 NODES = 4096
 TOL = 1e-13
-CASES = [(0.15, 0.0, 1), (0.5, 0.5, 0), (1.0, -0.5, 2), (1.5, 0.0, 3), (3.0, 1.0, 0)]
+CASES = [(0.02, -0.99, 0), (0.05, 0.0, 1), (0.15, 0.0, 1), (0.5, 0.5, 0), (1.0, -0.5, 2),
+         (1.5, 0.0, 3), (3.0, 1.0, 0)]
+MP_ANGLES = 8
+LOCAL_SIZES = (1000, 5000, 20000)
+LOCAL_ALPHAS = (0.5, 2.0)
 
 
 def far_angles(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -38,8 +64,7 @@ def f_cached(alpha: float, beta: float, mu: int, phis: np.ndarray) -> np.ndarray
 
 
 def f_quadrature(alpha: float, beta: float, mu: int, phis: np.ndarray) -> np.ndarray:
-    lam = np.concatenate([specfun._lerch_integral_many(block, alpha, beta + 1.0)
-                          for block in np.array_split(phis, len(phis) // 512)])
+    lam = specfun._lerch_integral_many(phis, alpha, beta + 1.0)
     return np.real(-np.exp(1j * phis * (mu + 2)) * lam)
 
 
@@ -54,16 +79,54 @@ def best_of(fn, repeats: int, before=None) -> float:
     return best
 
 
+def build_peak_mib(alpha: float, v: float) -> float:
+    specfun._far_coeffs.cache_clear()
+    tracemalloc.start()
+    try:
+        specfun._far_coeffs(alpha, v)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def mpmath_deviations(alpha: float, v: float, phis: np.ndarray) -> tuple[float, float]:
+    """Largest |quadrature - mpmath| and |cached - mpmath| over ``phis``, / max|Phi|."""
+    with mpmath.workdps(20):
+        want = np.array([complex(mpmath.lerchphi(-mpmath.exp(2j * mpmath.mpf(float(p))),
+                                                 alpha, v)) for p in phis])
+    scale = np.max(np.abs(want))
+    quad = specfun._lerch_integral_many(phis, alpha, v)
+    cheb = specfun.lerch_unit_many(phis, alpha, v)
+    return (float(np.max(np.abs(quad - want)) / scale),
+            float(np.max(np.abs(cheb - want)) / scale))
+
+
 def main() -> int:
-    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    phis = far_angles(np.random.default_rng(7), NODES)
-    print(f"python {platform.python_version()}, numpy {np.__version__}, "
-          f"{os.cpu_count()} CPUs, {phis.size} far angles, best of {repeats}")
-    print(f"{'alpha':>6s} {'beta':>5s} {'mu':>3s} {'t nodes':>8s} {'quadrature':>11s} "
-          f"{'cold':>9s} {'warm':>9s} {'deviation':>10s}")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("repeats", type=int, nargs="?", default=5)
+    ap.add_argument("--json", metavar="PATH", help="also write every row to PATH")
+    args = ap.parse_args()
+    repeats = args.repeats
+    rng = np.random.default_rng(7)
+    phis = far_angles(rng, NODES)
+    mp_phis = far_angles(rng, MP_ANGLES)
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "cpus": os.cpu_count(), "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+           "repeats": repeats}
+    print(f"python {env['python']}, numpy {env['numpy']}, {env['cpus']} CPUs, "
+          f"{env['blas_threads']} BLAS thread(s), {phis.size} far angles, best of {repeats}")
+    print(f"{'alpha':>6s} {'beta':>5s} {'mu':>3s} {'t nodes':>8s} {'build':>8s} {'peak':>9s} "
+          f"{'quadrature':>11s} {'cold':>9s} {'warm':>9s} {'deviation':>10s} "
+          f"{'mp quad':>8s} {'mp cheb':>8s}")
     failed = False
+    rows = []
     for alpha, beta, mu in CASES:
+        v = beta + 1.0
         case = (alpha, beta, mu, phis)
+        t_nodes = specfun._lerch_t_grid(alpha, v)[0].size
+        t_build = best_of(lambda: specfun._far_coeffs(alpha, v), repeats,
+                          before=specfun._far_coeffs.cache_clear)
+        peak = build_peak_mib(alpha, v)
         t_quad = best_of(lambda: f_quadrature(*case), max(1, repeats // 2))
         t_cold = best_of(lambda: f_cached(*case), repeats,
                          before=specfun._far_coeffs.cache_clear)
@@ -71,11 +134,34 @@ def main() -> int:
         ref = f_quadrature(*case)
         dev = float(np.max(np.abs(f_cached(*case) - ref)) / np.max(np.abs(ref)))
         failed |= not dev <= TOL
-        t_nodes = specfun._lerch_t_grid(alpha, beta + 1.0)[0].size
-        print(f"{alpha:6.2f} {beta:5.2f} {mu:3d} {t_nodes:8d} {t_quad * 1e3:9.1f}ms "
-              f"{t_cold * 1e3:7.2f}ms {t_warm * 1e3:7.2f}ms {dev:10.1e}")
+        mp_quad, mp_cheb = mpmath_deviations(alpha, v, mp_phis)
+        rows.append({"kind": "far", "alpha": alpha, "beta": beta, "mu": mu,
+                     "t_nodes": t_nodes, "build_ms": t_build * 1e3, "build_peak_mib": peak,
+                     "quadrature_ms": t_quad * 1e3, "cold_ms": t_cold * 1e3,
+                     "warm_ms": t_warm * 1e3, "dev": dev,
+                     "mpmath_dev_quadrature": mp_quad, "mpmath_dev_cached": mp_cheb})
+        print(f"{alpha:6.2f} {beta:5.2f} {mu:3d} {t_nodes:8d} {t_build * 1e3:6.2f}ms "
+              f"{peak:6.2f}MiB {t_quad * 1e3:9.1f}ms {t_cold * 1e3:7.2f}ms "
+              f"{t_warm * 1e3:7.2f}ms {dev:10.1e} {mp_quad:8.1e} {mp_cheb:8.1e}")
+
+    print(f"lerch_local_many, warm, v = 1, ell in [-0.8, 0.8]: "
+          + ", ".join(f"{n} points" for n in LOCAL_SIZES))
+    for alpha in LOCAL_ALPHAS:
+        times = []
+        for n in LOCAL_SIZES:
+            ells = rng.uniform(-0.8, 0.8, n)
+            specfun.lerch_local_many(ells, alpha, 1.0)
+            times.append(best_of(lambda: specfun.lerch_local_many(ells, alpha, 1.0),
+                                 repeats) * 1e3)
+        rows.append({"kind": "local", "alpha": alpha, "v": 1.0, "points": list(LOCAL_SIZES),
+                     "warm_ms": times})
+        print(f"  alpha {alpha:4.1f}: " + " ".join(f"{t:7.3f}ms" for t in times))
     if failed:
         print(f"FAIL: deviation above {TOL:.0e} of max|F|")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({"environment": env, "failed": failed, "rows": rows}, fh, indent=1)
+            fh.write("\n")
     return 1 if failed else 0
 
 

@@ -175,12 +175,19 @@ def gauss_panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+_HEAD_TERMS = 8
+
+
+def _lerch_head_panels(v: float) -> int:
+    # n for the head end t0 = 3^-n: 7, or more where v t0 would pass 3^-4, so
+    # that the head's e^{-v t} series stops below (3^-4)^8 / 8! ~ 1e-20.
+    return 7 + max(0, math.ceil(math.log(v / 27.0) / math.log(3.0)))
+
+
 def _lerch_t_grid(alpha: float, v: float) -> tuple[np.ndarray, np.ndarray]:
-    # [t0, 1]: geometric grading so t^{alpha-1} is smooth per panel; the tail
-    # below t0 contributes < t0^alpha / alpha ~ 1e-18.
-    exp10 = min(250.0, max(2.0, 19.0 / alpha))
-    n_lo = int(math.ceil(exp10 * math.log(10.0) / math.log(3.0))) + 1
-    lo_edges = np.concatenate(([0.0], 3.0 ** np.arange(-n_lo + 1, 1, dtype=float)))
+    # [t0, 1]: geometric grading so t^{alpha-1} is smooth per panel ([0, t0]
+    # is the Taylor head of _lerch_integral_many).
+    lo_edges = 3.0 ** np.arange(-_lerch_head_panels(v), 1, dtype=float)
     # [1, T]: exponential decay e^{-t v}; T from (alpha-1) ln T - v T = -45.
     t_hi = (45.0 + max(alpha - 1.0, 0.0)) / v + 1.0
     for _ in range(4):
@@ -191,12 +198,33 @@ def _lerch_t_grid(alpha: float, v: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lerch_integral_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
-    """Quadrature of t^{alpha-1} e^{-t v} / (1 + e^{-t + 2 i phi}) / Gamma(alpha)."""
+    """Integral of t^{alpha-1} e^{-t v} / (1 + e^{-t + 2 i phi}) / Gamma(alpha)
+    over t > 0 (DLMF 25.14.5) at far angles (|2 phi - pi| >= _NEAR_HALF_PI
+    mod 2 pi): Gauss panels on [t0, T] and an exact head on [0, t0].
+
+    The head integrates the Taylor series in t of q(t) e^{-v t}, where
+    q = 1/(1 + e^{-t + 2 i phi}) obeys q' = q - q^2.  In s = t/t0 the
+    coefficients Q_k of q satisfy (k+1) Q_{k+1} = t0 (Q_k - sum_j Q_j Q_{k-j});
+    q's poles lie at least _NEAR_HALF_PI from t = 0 at far angles.
+    """
+    t0 = 3.0 ** -_lerch_head_panels(v)
+    e2 = np.exp(2j * phis)
+    q = [1.0 / (1.0 + e2)]
+    for k in range(_HEAD_TERMS - 1):
+        conv = sum(q[j] * q[k - j] for j in range(k + 1))
+        q.append(t0 * (q[k] - conv) / (k + 1))
+    # head = t0^alpha / Gamma(alpha) sum_k P_k / (alpha + k), with P_k the
+    # coefficient of s^k in q(t0 s) e^{-v t0 s}; regrouped as sum_j Q_j W_j
+    ex = [(-v * t0) ** k / math.factorial(k) for k in range(_HEAD_TERMS)]
+    scale = math.exp(alpha * math.log(t0) - math.lgamma(alpha))
+    head = scale * sum(q[j] * sum(ex[k - j] / (alpha + k) for k in range(j, _HEAD_TERMS))
+                       for j in range(_HEAD_TERMS))
     t, w = _lerch_t_grid(alpha, v)
-    log_amp = (alpha - 1.0) * np.log(t) - t * v - math.lgamma(alpha)
-    amp = w * np.exp(log_amp)
-    denom = 1.0 + np.exp(-t)[:, None] * np.exp(2j * phis)[None, :]
-    return amp @ (1.0 / denom)
+    amp = w * np.exp((alpha - 1.0) * np.log(t) - t * v - math.lgamma(alpha))
+    denom = np.multiply.outer(np.exp(-t), e2)
+    denom += 1.0
+    np.reciprocal(denom, out=denom)
+    return head + amp @ denom
 
 
 # Away from phi = pi/2 (mod pi), Phi(-e^{2 i phi}, alpha, v) is analytic in
@@ -205,10 +233,10 @@ def _lerch_integral_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray
 # quadrature at the first-kind points; every far angle is then a Clenshaw sum.
 _FAR_EDGE = math.pi / 2.0 - _NEAR_HALF_PI / 2.0
 # Over alpha in {0.05, 0.15, 0.5, 1, 1.5, 2, 3} and v in {0.01, 0.1, 0.5, 1,
-# 2, 3}, the last 8 of 64 coefficients reach 7e-13 of the largest (alpha =
-# 0.05); at 128 points they sit at the quadrature's rounding floor (3e-15 to
-# 5e-15), and the worst deviation from the quadrature over 500 seeded far
-# angles is 2.7e-14 of max|Phi|.
+# 2, 3}, the last 8 of 64 coefficients reach 7.2e-13 of the largest (alpha =
+# 0.05, v = 3); at 128 points they sit at the quadrature's rounding floor
+# (3.0e-15 to 5.0e-15), and the worst deviation from the quadrature over 500
+# seeded far angles is 3.0e-14 of max|Phi| (alpha = 2, v = 0.01).
 _CHEB_POINTS = 128
 _CHEB_ANGLES = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
 # c_j = (2/N) sum_k f(cos theta_k) cos(j theta_k), with c_0 halved.  numpy's
@@ -233,16 +261,18 @@ _LOCAL_TERMS = 48
 
 
 @lru_cache(maxsize=512)
-def _local_tables(alpha: float, v: float) -> tuple[np.ndarray, bool]:
-    """zeta(alpha-k, v)/k! for the z->1 Lerch expansion, cached per (alpha, v)."""
+def _local_tables(alpha: float, v: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """zeta(alpha-k, v)/k! for the z->1 Lerch expansion, cached per (alpha, v),
+    times the real factor of i^k and split by the parity of k: with x = ell^2,
+    sum_k c_k (i ell)^k = even(x) + i ell odd(x)."""
     alpha_int = alpha == math.floor(alpha)
     coeffs = np.empty(_LOCAL_TERMS)
     for k in range(_LOCAL_TERMS):
         if alpha_int and k == int(alpha) - 1:
             coeffs[k] = 0.0  # replaced by the digamma/log head term
         else:
-            coeffs[k] = hurwitz_zeta(alpha - k, v) / math.factorial(k)
-    return coeffs, alpha_int
+            coeffs[k] = (-1) ** (k // 2) * hurwitz_zeta(alpha - k, v) / math.factorial(k)
+    return coeffs[0::2], coeffs[1::2], alpha_int
 
 
 def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
@@ -250,30 +280,42 @@ def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
 
     Expansion of Phi(z, alpha, v) in log z = i*ell around z = 1; with
     z = -e^{2 i phi} this is ell = 2*phi - pi, the phi = pi/2 neighborhood.
+    Its real and imaginary parts are summed apart, in real arithmetic.
     Raises SingularityError at ell == 0 when alpha <= 1.
     """
     ells = np.asarray(ells, dtype=np.float64)
-    coeffs, alpha_int = _local_tables(alpha, v)
-    logz = 1j * ells
-    acc = np.zeros(ells.shape, dtype=np.complex128)
-    lp = np.ones(ells.shape, dtype=np.complex128)
-    for k in range(_LOCAL_TERMS):
-        acc += lp * coeffs[k]
-        lp *= logz
     zero = ells == 0.0
-    if zero.any() and alpha <= 1.0:
+    if alpha <= 1.0 and zero.any():
         raise SingularityError("Phi singular at z=1 for alpha <= 1")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if alpha_int:
-            n = int(alpha)
+    even_c, odd_c, alpha_int = _local_tables(alpha, v)
+    x = ells * ells
+    re = np.full(ells.shape, even_c[-1])
+    im = np.full(ells.shape, odd_c[-1])
+    for ce, co in zip(even_c[-2::-1], odd_c[-2::-1]):  # Horner in x
+        re *= x
+        re += ce
+        im *= x
+        im += co
+    im *= ells
+    if alpha_int:
+        n = int(alpha)
+        logz = 1j * ells
+        with np.errstate(divide="ignore", invalid="ignore"):
             head = -(logz ** (n - 1)) * (
                 digamma(v) - digamma(float(n)) + np.log(-logz)
             ) / math.factorial(n - 1)
-        else:
-            head = gamma(1.0 - alpha) * (-logz) ** (alpha - 1.0)
-    if zero.any():
-        head = np.where(zero, 0.0, head)  # limit for alpha > 1
-    return np.exp(-1j * v * ells) * (acc + head)
+        if zero.any():
+            head = np.where(zero, 0.0, head)  # limit for alpha > 1
+        re += head.real
+        im += head.imag
+    else:
+        # Gamma(1-alpha) (-i ell)^{alpha-1} = Gamma(1-alpha) |ell|^{alpha-1}
+        # e^{-i sign(ell) pi (alpha-1)/2}; 0 at ell = 0 for alpha > 1
+        mag = gamma(1.0 - alpha) * np.abs(ells) ** (alpha - 1.0)
+        theta = 0.5 * math.pi * (alpha - 1.0)
+        re += math.cos(theta) * mag
+        im -= math.sin(theta) * np.sign(ells) * mag
+    return (re + 1j * im) * np.exp(-1j * v * ells)
 
 
 def lerch_unit_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
