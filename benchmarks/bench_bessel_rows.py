@@ -11,7 +11,7 @@ oracle-length case times one one-argument row per r in {5, 50, 400, 1,000,
 m = m' = 0, a = 0, beta = 0: the rows every oracle sum runs.
 
 The column cases take the arguments of ``eval_hankel``'s mesh,
-``2 r cos(phi)`` and ``2 r sin(eps)`` from ``quadrature._half_mesh`` at
+``2 r sin(eps)`` at the eps nodes of ``quadrature._half_mesh`` at
 a = -0.5: level 0 for r in {100, 1000}, and level 2 for r = 12, where every
 argument is below ``hankel_x0`` and so runs the recurrence.  A last case
 takes 4,000 arguments spread uniformly below 25.  Each case, for nu in
@@ -106,9 +106,8 @@ def main():
     print(f"{'bessel_j_col on the mesh':28s} {'args':>7s} {'time':>10s} {'max |err|':>10s}")
     col_cases = []
     for r, level in ((100.0, 0), (1000.0, 0), (12.0, 2)):
-        nodes, _, eps, _ = _half_mesh(r, 0.5, level)
-        col_cases.append((f"r={r:g} level {level}",
-                          (2.0 * r * np.cos(nodes), 2.0 * r * np.sin(eps))))
+        eps, _ = _half_mesh(r, 0.5, level)
+        col_cases.append((f"r={r:g} level {level}", (2.0 * r * np.sin(eps),)))
     col_cases.append(("uniform x < 25", (rng.uniform(0.0, 25.0, 4000),)))
     for name, cols in col_cases:
         for nu in (0, 3):

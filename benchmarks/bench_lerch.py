@@ -1,6 +1,6 @@
 """Benchmark the Lerch factor of F: the far table, its accuracy and the local series.
 
-``f_phase(*lerch_factor(...))`` evaluates F at every far angle
+``f_phase(lerch_unit_many(...), ...)`` evaluates F at every far angle
 (``|2 phi - pi| >= 0.35``) from a Chebyshev expansion of the Lerch factor,
 built once per ``(alpha, beta+1)`` from the quadrature
 ``specfun._lerch_integral_many`` at 128 angles.  For each case this prints
@@ -13,12 +13,13 @@ deviations of the quadrature and of the cached expansion from 20-digit
 ``mpmath.lerchphi`` at 8 far angles, relative to max|Phi|.
 
 One more row times ``specfun.lerch_local_many`` (warm, alpha = 0.5 and 2,
-v = 1) on 1,000, 5,000 and 20,000 seeded points ell in [-0.8, 0.8], the
+v = 1) on 1,000, 5,000 and 20,000 seeded points ell in [-0.35, 0.35], the
 reach of the near-angle nodes.
 
 It runs on one BLAS thread, as ``perfbench`` does, unless
-``OPENBLAS_NUM_THREADS`` says otherwise: on a 2-CPU host, waking BLAS worker
-threads for the build's two small products cost 4-16 ms per build.
+``OPENBLAS_NUM_THREADS`` says otherwise.  The build itself calls no BLAS:
+on a 2-CPU host, waking BLAS worker threads for its two small products cost
+4-16 ms per build when they were matrix products.
 
 With ``--json PATH`` it also writes every row to PATH, with an environment
 block: CPU count, BLAS threads, numpy and python versions, repeats.
@@ -43,7 +44,7 @@ import mpmath
 import numpy as np
 
 from bnsum import specfun
-from bnsum.fseries import f_phase, lerch_factor
+from bnsum.fseries import f_phase
 
 NODES = 4096
 TOL = 1e-13
@@ -60,7 +61,7 @@ def far_angles(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def f_cached(alpha: float, beta: float, mu: int, phis: np.ndarray) -> np.ndarray:
-    return f_phase(*lerch_factor(alpha, beta, phis), mu)
+    return f_phase(specfun.lerch_unit_many(phis, alpha, beta + 1.0), phis, mu)
 
 
 def f_quadrature(alpha: float, beta: float, mu: int, phis: np.ndarray) -> np.ndarray:
@@ -144,12 +145,13 @@ def main() -> int:
               f"{peak:6.2f}MiB {t_quad * 1e3:9.1f}ms {t_cold * 1e3:7.2f}ms "
               f"{t_warm * 1e3:7.2f}ms {dev:10.1e} {mp_quad:8.1e} {mp_cheb:8.1e}")
 
-    print(f"lerch_local_many, warm, v = 1, ell in [-0.8, 0.8]: "
+    reach = specfun._NEAR_HALF_PI
+    print(f"lerch_local_many, warm, v = 1, ell in [-{reach}, {reach}]: "
           + ", ".join(f"{n} points" for n in LOCAL_SIZES))
     for alpha in LOCAL_ALPHAS:
         times = []
         for n in LOCAL_SIZES:
-            ells = rng.uniform(-0.8, 0.8, n)
+            ells = rng.uniform(-reach, reach, n)
             specfun.lerch_local_many(ells, alpha, 1.0)
             times.append(best_of(lambda: specfun.lerch_local_many(ells, alpha, 1.0),
                                  repeats) * 1e3)

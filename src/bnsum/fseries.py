@@ -15,19 +15,24 @@ import math
 
 import numpy as np
 
-from .specfun import lerch_local_many, lerch_unit_many
+from .specfun import _NEAR_HALF_PI, lerch_local_many, lerch_unit_many
 
 HALF_PI = math.pi / 2.0
 
 
-def lerch_factor(alpha: float, beta: float, nodes: np.ndarray, side: int = 0):
+def lerch_factor(alpha: float, beta: float, eps: np.ndarray, side: int):
     """F's Lerch factor Phi(-e^{2 i phi}, alpha, beta+1), which is free of mu,
-    and phi: at phi = ``nodes`` (side 0) or pi/2 - side*eps, eps = ``nodes``
-    (|eps| < pi), which keeps nodes within one ulp of pi/2 distinct."""
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if not side:
-        return lerch_unit_many(nodes, alpha, beta + 1.0), nodes
-    return lerch_local_many(-2.0 * side * nodes, alpha, beta + 1.0), HALF_PI - side * nodes
+    and phi, at phi = pi/2 - side*eps for eps = ``eps`` (|eps| <= pi/2) and
+    side +-1.  eps is its own variable, so nodes within one ulp of pi/2 stay
+    distinct.  Nodes with |ell| = 2 |eps| below specfun's seam take the local
+    series, the others the far table."""
+    eps = np.asarray(eps, dtype=np.float64)
+    phis = HALF_PI - side * eps
+    near = np.abs(2.0 * eps) < _NEAR_HALF_PI
+    lam = np.empty(eps.shape, dtype=np.complex128)
+    lam[near] = lerch_local_many(-2.0 * side * eps[near], alpha, beta + 1.0)
+    lam[~near] = lerch_unit_many(phis[~near], alpha, beta + 1.0)
+    return lam, phis
 
 
 def f_phase(lam: np.ndarray, phis: np.ndarray, mu: int) -> np.ndarray:
@@ -38,7 +43,7 @@ def f_phase(lam: np.ndarray, phis: np.ndarray, mu: int) -> np.ndarray:
 def f_eval_many(alpha: float, beta: float, mu: int, phis: np.ndarray) -> np.ndarray:
     """F at ``phis``; no bnsum code calls it.  Kept only for ``perfbench/tracer.py``,
     which wraps it by name; it goes when a benchmark change drops it from TARGETS."""
-    return f_phase(*lerch_factor(alpha, beta, phis), mu)
+    return f_phase(lerch_unit_many(phis, alpha, beta + 1.0), phis, mu)
 
 
 def f_eval_near_half_many(alpha: float, beta: float, mu: int, eps: np.ndarray,

@@ -15,9 +15,13 @@ J_{-n} = (-1)^n J_n holds for every integer order, so orders that step below
 step, so both run one quadrature.  The exponential form integrates that one
 term of a < 0, whose sign (-1)^min(m,m') = i^{-mu} i^{nu} its prefactor carries.
 
-The phi-singularity of F at pi/2 (order alpha-1 for alpha < 1, logarithmic at
-alpha = 1) is handled with a power-law substitution phi = pi/2 - u^{1/alpha}
-resp. geometrically graded open panels; phi = pi/2 itself is never a node.
+Every node of the half-range [0, pi/2) is written in the one variable
+eps = pi/2 - phi, and its mirror image in (pi/2, pi] is pi/2 + eps, so
+cos(phi) = +-sin(eps).  The singularity of F at eps = 0 (order alpha-1 for
+alpha < 1, logarithmic at alpha = 1) is handled on (0, 0.4] with a power-law
+substitution eps = u^{1/alpha} resp. geometrically graded open panels;
+eps = 0 itself is never a node.  ``fseries.lerch_factor`` sends each node to
+the Lerch local series or the far table by the one seam |2 eps| = 0.35.
 """
 from __future__ import annotations
 
@@ -67,15 +71,12 @@ def _pieces(widths: np.ndarray, r: float, level: int, least: int = 1) -> np.ndar
 
 
 def _half_mesh(r: float, alpha: float, level: int):
-    """Quadrature rule for [0, pi/2) split at pi/2 - 0.4.
+    """Quadrature rule for [0, pi/2) in eps = pi/2 - phi: ascending (eps nodes,
+    weights), graded panels on (0, 0.4] and then smooth ones on [0.4, pi/2].
 
-    Returns (phi nodes, weights) for the smooth part and (eps nodes, weights)
-    for the singular part, where eps = pi/2 - phi is kept as its own variable
-    so that nodes arbitrarily close to pi/2 never round onto it.  The eps
-    weights absorb the substitution jacobian.
+    eps is the variable of every node, so nodes arbitrarily close to pi/2
+    never round onto it; the graded weights absorb the substitution jacobian.
     """
-    smooth = np.array([0.0, HALF_PI - _SING_WIDTH])
-    nodes, weights = _panel_nodes(_split(smooth, _pieces(np.diff(smooth), r, level, 4)))
     if alpha < 1.0:
         # eps = u^{1/alpha} flattens the eps^{alpha-1} blow-up of F; the u
         # panels are split by their width in eps, where J_nu oscillates.
@@ -95,7 +96,9 @@ def _half_mesh(r: float, alpha: float, level: int):
         eps_edges = _SING_WIDTH * _GRADING ** (-np.arange(depth, -1, -1, dtype=float))
         eps_edges = _split(eps_edges, _pieces(np.diff(eps_edges), r, level))
         eps_nodes, eps_weights = _panel_nodes(eps_edges)
-    return nodes, weights, eps_nodes, eps_weights
+    smooth = np.array([_SING_WIDTH, HALF_PI])
+    nodes, weights = _panel_nodes(_split(smooth, _pieces(np.diff(smooth), r, level, 4)))
+    return np.concatenate((eps_nodes, nodes)), np.concatenate((eps_weights, weights))
 
 
 def _lower(spec: SeriesSpec, r: float):
@@ -120,48 +123,34 @@ def _lower(spec: SeriesSpec, r: float):
     return n - spec.a, terms
 
 
-def _half_lerch(alpha: float, beta: float, nodes: np.ndarray, side: int, mirror: bool = False):
-    """``lerch_factor`` and phi of F on one part of a ``_half_mesh``: phi nodes
-    (side 0) or eps nodes (side 1) in [0, pi/2), or with ``mirror`` their
-    images pi - phi resp. pi/2 + eps in (pi/2, pi]."""
-    if mirror:
-        nodes, side = (nodes, -side) if side else (math.pi - nodes, 0)
-    return lerch_factor(alpha, beta, nodes, side)
-
-
 def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int,
                    mirror: bool = False):
     """(sum over [0, pi/2), product count) per r of ``rs`` of the integrand
     sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, mu, nu) of
-    ``terms``.  Per half, over the rows' concatenated meshes, all terms share
-    one Lerch factor of F and one Bessel call; a node's values depend on its
-    own argument and each row sums its own slice, so a row's sum is that of a
+    ``terms``.  Over the rows' concatenated meshes, all terms share one Lerch
+    factor of F and one Bessel call; a node's values depend on its own
+    argument and each row sums its own slice, so a row's sum is that of a
     one-row call.
 
-    With ``mirror`` the sum is over (pi/2, pi]: F on ``_half_lerch``'s mirrored
-    nodes, with J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
+    With ``mirror`` the sum is over (pi/2, pi]: F at phi = pi/2 + eps, with
+    J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
     """
     meshes = [_half_mesh(r, alpha, level) for r in rs]
     if mirror:
         terms = [(-c if nu % 2 else c, mu, nu) for c, mu, nu in terms]
-
-    def half(k: int, side: int, trig) -> list[float]:
-        nodes = np.concatenate([mesh[k] for mesh in meshes])
-        weights = np.concatenate([mesh[k + 1] for mesh in meshes])
-        sizes = [mesh[k].size for mesh in meshes]
-        args = np.repeat(2.0 * np.array(rs), sizes) * trig(nodes)
-        orders = sorted({nu for *_, nu in terms})
-        cols = dict(zip(orders, bessel_j_col(orders, args)))
-        lam, phis = _half_lerch(alpha, beta, nodes, side, mirror)
-        products = (c * weights * f_phase(lam, phis, mu) * cols[nu] for c, mu, nu in terms)
-        integrand = sum(products, next(products))  # a running sum; one term stays exact
-        ends = itertools.accumulate(sizes)
-        return [float(np.sum(integrand[end - size:end])) for size, end in zip(sizes, ends)]
-
-    # near pi/2 the node is eps, and cos(pi/2 - eps) = sin(eps) never forms phi
-    sums = zip(half(0, 0, np.cos), half(2, 1, np.sin), meshes)
-    return [(smooth + sing, len(terms) * (mesh[0].size + mesh[2].size))
-            for smooth, sing, mesh in sums]
+    eps = np.concatenate([mesh[0] for mesh in meshes])
+    weights = np.concatenate([mesh[1] for mesh in meshes])
+    sizes = [mesh[0].size for mesh in meshes]
+    # cos(pi/2 - eps) = sin(eps) never forms phi
+    args = np.repeat(2.0 * np.array(rs), sizes) * np.sin(eps)
+    orders = sorted({nu for *_, nu in terms})
+    cols = dict(zip(orders, bessel_j_col(orders, args)))
+    lam, phis = lerch_factor(alpha, beta, eps, -1 if mirror else 1)
+    products = (c * weights * f_phase(lam, phis, mu) * cols[nu] for c, mu, nu in terms)
+    integrand = sum(products, next(products))  # a running sum; one term stays exact
+    ends = itertools.accumulate(sizes)
+    return [(float(np.sum(integrand[end - size:end])), len(terms) * size)
+            for size, end in zip(sizes, ends)]
 
 
 def _converge(evaluate, count: int, abs_tol: float, rel_tol: float,
@@ -278,10 +267,11 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
     """Two-dimensional exponential oscillatory-integral route; requires a < 0.
 
     The integrand is ``_lower``'s single term (c, mu, nu), c inside the
-    prefactor 2 i^{-mu} / pi^2.  phi runs on the Hankel route's mesh, with F
-    from ``_half_lerch``; theta on ``_theta_rule``'s midpoint rule, exact to
-    rounding on the part of the theta integrand that carries the value (a full
-    period of a periodic analytic function, aliased only through J_{4n-nu}).
+    prefactor 2 i^{-mu} / pi^2.  phi runs on the Hankel route's eps mesh and
+    its mirror, with F from ``lerch_factor``; theta on ``_theta_rule``'s
+    midpoint rule, exact to rounding on the part of the theta integrand that
+    carries the value (a full period of a periodic analytic function, aliased
+    only through J_{4n-nu}).
     The other part meets the F weight plus - minus (even mu) or plus + minus
     (odd mu), zero analytically, so it feeds only the imaginary residue that
     ``err_est`` adds.  No Bessel routine runs: the route checks the Hankel one
@@ -296,16 +286,15 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
     prefactor = 2.0 * (1j) ** (-mu) / math.pi ** 2
 
     def evaluate(level, _rows):
-        nodes, weights, eps, eps_w = _half_mesh(r, alpha, level)
-        # phi and pi - phi (eps on sides +1 and -1) have cosines of opposite
-        # sign, so their kernels e^{+-i x} are conjugate: one real cos(x) and
-        # one sin(x) per pair, x = 2 r cos(phi) cos(theta).  F is evaluated
-        # on both sides, so the imaginary residue still checks the formula.
-        plus, minus = (
-            np.concatenate([w * f_phase(*_half_lerch(alpha, spec.beta, x, side, mirror), mu)
-                            for x, w, side in ((nodes, weights, 0), (eps, eps_w, 1))])
-            for mirror in (False, True))
-        two_r_cphi = 2.0 * r * np.concatenate((np.cos(nodes), np.sin(eps)))
+        eps, w = _half_mesh(r, alpha, level)
+        # pi/2 - eps and pi/2 + eps (sides +1 and -1) have cosines of
+        # opposite sign, so their kernels e^{+-i x} are conjugate: one real
+        # cos(x) and one sin(x) per pair, x = 2 r sin(eps) cos(theta).  F is
+        # evaluated on both sides, so the imaginary residue still checks the
+        # formula.
+        plus, minus = (w * f_phase(*lerch_factor(alpha, spec.beta, eps, side), mu)
+                       for side in (1, -1))
+        two_r_cphi = 2.0 * r * np.sin(eps)
         tn, tw = _theta_rule(r, nu, level)
         ctheta = np.cos(tn)
         rows = max(1, _KERNEL_CELLS // tn.size)

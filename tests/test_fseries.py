@@ -13,7 +13,10 @@ HALF_PI = math.pi / 2.0
 
 def f_values(alpha, beta, mu, nodes, side=0):
     """F at phi = ``nodes`` (side 0) or at pi/2 - side*eps, eps = ``nodes``."""
-    return f_phase(*lerch_factor(alpha, beta, np.asarray(nodes, dtype=float), side), mu)
+    nodes = np.asarray(nodes, dtype=float)
+    if not side:
+        return f_phase(lerch_unit_many(nodes, alpha, beta + 1.0), nodes, mu)
+    return f_phase(*lerch_factor(alpha, beta, nodes, side), mu)
 
 
 def f_eval(alpha, beta, mu, phi: float, return_imag_residual: bool = False):

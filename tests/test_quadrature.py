@@ -129,6 +129,32 @@ GRID_SPECS = [SeriesSpec(a, float(_RNG.uniform(-0.9, 2.0)), m, mp)
               for a, m, mp in ((-0.4, 1, 1), (-0.7, 2, 1), (-1.5, 2, 0), (-2.2, 3, 0))]
 
 
+# Lerch nodes on both sides of the seam |ell| = 0.35, and values down to
+# 6e-6 (r = 1, m, m' up to 3), where an error of either Lerch expansion
+# near the seam shows against the value
+SEAM_CASES = [(-0.2218, 0.3519, 3, 3, 1.0), (-0.5, 0.0, 2, 3, 1.0), (-0.15, 0.7, 2, 2, 1.0),
+              (-0.3, -0.4, 3, 2, 1.0), (-0.5, 0.3, 1, 0, 20.0)]
+
+
+def mpmath_series(a, beta, m, mp, r):
+    """The series to 30 digits, summed until (r/2)^l / l! is far below 1e-30."""
+    with mpmath.workdps(30):
+        orders = range(1, int(r) + 60)
+        return float(mpmath.fsum(mpmath.besselj(l + mp, r) * mpmath.besselj(l + m, r)
+                                 * mpmath.mpf(l + beta) ** a for l in orders))
+
+
+class TestSeam:
+    @pytest.mark.parametrize("case", SEAM_CASES)
+    def test_routes_against_mpmath(self, case):
+        a, beta, m, mp, r = case
+        spec, want = SeriesSpec(a, beta, m, mp), mpmath_series(*case)
+        routes = {"hankel": eval_hankel(spec, r), "exp2d": eval_exp2d(spec, r),
+                  "grid": eval_hankel_grid(spec, [r])[0]}
+        for name, res in routes.items():
+            assert abs(res.value - want) <= 1e-11 * abs(want) + 1e-14, (name, res.value, want)
+
+
 class TestHankelGrid:
     @pytest.mark.parametrize("spec", GRID_SPECS)
     def test_rows_match_eval_hankel(self, spec):
@@ -180,28 +206,24 @@ class TestHankelGrid:
             eval_hankel_grid(spec, rs)
 
 
-def f_values(alpha, beta, mu, nodes, side=0):
-    """F at phi = ``nodes`` (side 0) or at pi/2 - side*eps, eps = ``nodes``."""
-    return f_phase(*lerch_factor(alpha, beta, nodes, side), mu)
+def f_values(alpha, beta, mu, eps, side):
+    """F at pi/2 - side*eps."""
+    return f_phase(*lerch_factor(alpha, beta, eps, side), mu)
 
 
 def exp2d_unfolded(spec: SeriesSpec, r: float):
-    """``eval_exp2d`` with one complex exponential per cell over all four
-    phi-node sets (phi, pi - phi, eps on either side), unfolded, with the
-    orders and F formed here rather than by the route's lowering."""
+    """``eval_exp2d`` with one complex exponential per cell over both eps-node
+    sets (pi/2 - eps and pi/2 + eps), unfolded, with the orders and F formed
+    here rather than by the route's lowering."""
     alpha, mu, nu = -spec.a, spec.m + spec.m_prime, abs(spec.m - spec.m_prime)
     prefactor = 2.0 * (1j) ** (-mu) / math.pi ** 2
 
     def evaluate(level, _rows):
-        nodes, weights, eps, eps_w = quadrature._half_mesh(r, alpha, level)
-        cphi = np.concatenate((np.cos(nodes), -np.cos(nodes), np.sin(eps), -np.sin(eps)))
-        w = np.concatenate((weights, weights, eps_w, eps_w))
-        fvals = np.concatenate((
-            f_values(alpha, spec.beta, mu, nodes),
-            f_values(alpha, spec.beta, mu, math.pi - nodes),
-            f_values(alpha, spec.beta, mu, eps, side=1),
-            f_values(alpha, spec.beta, mu, eps, side=-1),
-        ))
+        eps, eps_w = quadrature._half_mesh(r, alpha, level)
+        cphi = np.concatenate((np.sin(eps), -np.sin(eps)))
+        w = np.concatenate((eps_w, eps_w))
+        fvals = np.concatenate((f_values(alpha, spec.beta, mu, eps, 1),
+                                f_values(alpha, spec.beta, mu, eps, -1)))
         tn, tw = quadrature._theta_rule(r, nu, level)
         ctheta = np.cos(tn)[None, :]
         rows = max(1, quadrature._KERNEL_CELLS // tn.size)
@@ -342,7 +364,7 @@ class TestLifted:
         assert all(c != 0.0 for c, *_ in terms)
         assert len({term[1:] for term in terms}) == len(terms)
         meshes = [quadrature._half_mesh(rs[0], alpha, level) for alpha, _, rs, level in calls]
-        assert res.work == len(terms) * sum(mesh[0].size + mesh[2].size for mesh in meshes)
+        assert res.work == len(terms) * sum(mesh[0].size for mesh in meshes)
 
     def test_one_lerch_factor_and_one_recurrence_per_half(self, monkeypatch):
         events, level_terms = [], []
@@ -367,11 +389,8 @@ class TestLifted:
         assert len(level_terms[0]) == 7
         per_level = "".join(events).split("|")[1:]
         assert len(per_level) == len(level_terms) >= 2
-        for seq in per_level:  # the smooth half's calls, then the eps half's
-            cut = seq.rindex("u") + 1
-            smooth, sing = seq[:cut], seq[cut:]
-            assert smooth.count("u") == 1 and smooth.count("r") <= 1, seq
-            assert sing.count("l") == 1 and sing.count("r") <= 1 and "l" not in smooth, seq
+        for seq in per_level:  # one pass over the half-range's eps nodes
+            assert seq.count("r") <= 1 and seq.count("u") <= 1 and seq.count("l") <= 1, seq
 
     def test_non_finite_level_raises_at_once(self, monkeypatch):
         # a = 300 at r = 5: the lowered coefficients overflow, so no level
