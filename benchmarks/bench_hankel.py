@@ -1,9 +1,10 @@
 """Benchmark the integral routes' quadrature mesh: work and time against r.
 
 Prints the work (quadrature nodes summed over the refinement levels) and the
-warm time of ``eval_hankel`` at r in {5, 30, 100, 200, 400, 1000} for three
-specs, ``a`` = -0.5, -0.3 (both with the ``alpha < 1`` singular amplitude) and
--1.5.  Warm means the cached Lerch expansion of ``F`` is already built: one
+warm time of ``eval_hankel`` at r in {5, 30, 100, 200, 400, 1000} for four
+specs, ``a`` = -0.5, -0.3 (both with the ``alpha < 1`` singular amplitude),
+-1.0 with m = m' = 0 (``alpha = 1`` and even mu: the logarithmic singularity)
+and -1.5.  Warm means the cached Lerch expansion of ``F`` is already built: one
 untimed call precedes the best of the timed ones.  Before that it times
 ``eval_exp2d`` warm for r = 90 and then r = 200 at two specs: a = -0.5 with
 mu = 0, where the prefactor is real and the cosine sum gives the value, and
@@ -13,7 +14,7 @@ the warm time, and the process's peak resident set (``ru_maxrss``) after each
 case.  The exp2d cases run first, so each peak is that of the import and the
 exp2d calls so far.
 
-Then, for the same three specs on a 10-row grid with r in [1, 100], it times
+Then, for the same four specs on a 10-row grid with r in [1, 100], it times
 a loop of ``eval_hankel`` calls against one ``eval_hankel_grid`` call (warm,
 best of ``repeats`` each).
 
@@ -54,7 +55,8 @@ from bnsum.quadrature import (_lower, _theta_rule, eval_exp2d, eval_hankel, eval
                               eval_lifted)
 
 RS = (5.0, 30.0, 100.0, 200.0, 400.0, 1000.0)
-SPECS = (SeriesSpec(-0.5, 0.0, 1, 0), SeriesSpec(-0.3, 0.2, 3, 2), SeriesSpec(-1.5, 0.5, 1, 0))
+SPECS = (SeriesSpec(-0.5, 0.0, 1, 0), SeriesSpec(-0.3, 0.2, 3, 2), SeriesSpec(-1.0, 0.0, 0, 0),
+         SeriesSpec(-1.5, 0.5, 1, 0))
 HANKEL_TOL = 1e-8
 EXP2D_SPECS = (SeriesSpec(-0.5, 0.0, 0, 0), SeriesSpec(-1.5, 0.5, 1, 0))
 EXP2D_RS, EXP2D_TOL = (90.0, 200.0), 1e-7

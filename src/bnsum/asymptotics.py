@@ -109,14 +109,11 @@ def _osc_phase(mu: int, nu: int, phase_convention: str) -> float:
 def _one_over_r_coeffs(alpha: float, beta: float) -> tuple[float, float]:
     """The 1/r pair shared by the non-integer expansion, the integer one at
     alpha > 1 and (up to sign) the a < -1 derivative table:
-    zeta(alpha, beta+1)/pi and
-    2^{-alpha} (zeta(alpha,(beta+2)/2) - zeta(alpha,(beta+1)/2))/pi,
-    the coefficients of cos(pi nu/2) and of sin(2r + phase)."""
-    return hurwitz_zeta(alpha, beta + 1.0) / math.pi, (
-        2.0 ** (-alpha)
-        * (hurwitz_zeta(alpha, (beta + 2.0) / 2.0) - hurwitz_zeta(alpha, (beta + 1.0) / 2.0))
-        / math.pi
-    )
+    zeta(alpha, beta+1)/pi and -Phi(-1, alpha, beta+1)/pi, the coefficients of
+    cos(pi nu/2) and of sin(2r + phase).  The second is at alpha = 1 also the
+    oscillatory coefficient of ``leading_integer``, where the first diverges."""
+    zeta_1r = hurwitz_zeta(alpha, beta + 1.0) / math.pi
+    return zeta_1r, -phi_minus_one(alpha, beta + 1.0) / math.pi
 
 
 def leading_noninteger(
@@ -132,8 +129,7 @@ def leading_noninteger(
         2^{alpha-1} Gamma(1-alpha) / (Gamma((nu-alpha+2)/2) Gamma((-nu-alpha+2)/2))
             * r^{-alpha}
         + (1/(pi r)) [cos(pi nu/2) zeta(alpha, beta+1)
-                      + 2^{-alpha} (zeta(alpha,(beta+2)/2) - zeta(alpha,(beta+1)/2))
-                        * sin(2r + phase)]
+                      - Phi(-1, alpha, beta+1) sin(2r + phase)]
 
     with error O(r^{-min(alpha+1, 2)}).  The gamma reflection goes through
     ``reciprocal_gamma`` so the leading coefficient vanishes continuously at
@@ -184,8 +180,7 @@ def leading_integer(
     and alpha > 1:
 
         (1/(pi r)) [cos(pi nu/2) zeta(alpha, beta+1)
-                    + 2^{-alpha} (zeta(alpha,(beta+2)/2) - zeta(alpha,(beta+1)/2))
-                      sin(2r + phase)] + O(r^{-2+eps}).
+                    - Phi(-1, alpha, beta+1) sin(2r + phase)] + O(r^{-2+eps}).
 
     ``osc_term='absent'`` drops the oscillatory term (the alternative reading
     of the conflicting source displays; see :data:`COR62_OSC_TERM`).

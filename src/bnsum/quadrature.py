@@ -18,10 +18,10 @@ term of a < 0, whose sign (-1)^min(m,m') = i^{-mu} i^{nu} its prefactor carries.
 Every node of the half-range [0, pi/2) is written in the one variable
 eps = pi/2 - phi, and its mirror image in (pi/2, pi] is pi/2 + eps, so
 cos(phi) = +-sin(eps).  The singularity of F at eps = 0 (order alpha-1 for
-alpha < 1, logarithmic at alpha = 1) is handled on (0, 0.4] with a power-law
-substitution eps = u^{1/alpha} resp. geometrically graded open panels;
-eps = 0 itself is never a node.  ``fseries.lerch_factor`` sends each node to
-the Lerch local series or the far table by the one seam |2 eps| = 0.35.
+alpha < 1, logarithmic at alpha = 1) is handled on (0, 0.4] by one graded
+rule for every alpha, eps = u^p with p = 1 / min(alpha, 1); eps = 0 itself
+is never a node.  ``fseries.lerch_factor`` sends each node to the Lerch
+local series or the far table by the one seam |2 eps| = 0.35.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from .specfun import gauss_panel_nodes as _panel_nodes
 HALF_PI = math.pi / 2.0
 _SING_WIDTH = 0.4  # size of the graded region left of pi/2
 _MAX_PANELS = 4096  # refinement stops once a level exceeds a multiple of this
-_GRADING = 2.0  # ratio of the geometric panels towards pi/2 when alpha >= 1
 _PANELS_PER_PERIOD = 4  # oscillation resolution of the phi meshes
 # exp2d builds and contracts its real (phi, theta) kernel in blocks of phi
 # rows of at most this many cells (512 KiB of float64), so its memory does not
@@ -74,28 +73,22 @@ def _half_mesh(r: float, alpha: float, level: int):
     """Quadrature rule for [0, pi/2) in eps = pi/2 - phi: ascending (eps nodes,
     weights), graded panels on (0, 0.4] and then smooth ones on [0.4, pi/2].
 
-    eps is the variable of every node, so nodes arbitrarily close to pi/2
-    never round onto it; the graded weights absorb the substitution jacobian.
+    eps = u^p with p = 1 / min(alpha, 1) flattens the eps^(alpha-1) blow-up of
+    F for alpha < 1 and is u = eps for alpha >= 1.  The u panels, from 0 by
+    ratio 3 up to 0.4^(1/p), are split by their width in eps, where J_nu
+    oscillates.  eps is the variable of every node, so nodes arbitrarily close
+    to pi/2 never round onto it; the weights absorb the substitution jacobian.
     """
-    if alpha < 1.0:
-        # eps = u^{1/alpha} flattens the eps^{alpha-1} blow-up of F; the u
-        # panels are split by their width in eps, where J_nu oscillates.
-        u_top = _SING_WIDTH ** alpha
-        u_edges = np.concatenate(
-            ([0.0], u_top * 3.0 ** (-np.arange(30, -1, -1, dtype=float)))
-        )
-        eps_widths = np.diff(u_edges ** (1.0 / alpha))
-        un, uw = _panel_nodes(_split(u_edges, _pieces(eps_widths, r, level)))
-        eps_nodes = un ** (1.0 / alpha)
-        if eps_nodes[0] == 0.0:  # the smallest node; F is singular at eps = 0
-            raise ConvergenceError(f"alpha = {alpha:g} is too small for the quadrature "
-                                   "near phi = pi/2: eps = u^(1/alpha) underflows to 0")
-        eps_weights = uw * (1.0 / alpha) * un ** (1.0 / alpha - 1.0)
-    else:
-        depth = int(math.ceil(46.0 * math.log(2.0) / math.log(_GRADING)))
-        eps_edges = _SING_WIDTH * _GRADING ** (-np.arange(depth, -1, -1, dtype=float))
-        eps_edges = _split(eps_edges, _pieces(np.diff(eps_edges), r, level))
-        eps_nodes, eps_weights = _panel_nodes(eps_edges)
+    g = min(alpha, 1.0)
+    p = 1.0 / g
+    u_top = _SING_WIDTH ** g
+    u_edges = np.concatenate(([0.0], u_top * 3.0 ** (-np.arange(30, -1, -1, dtype=float))))
+    un, uw = _panel_nodes(_split(u_edges, _pieces(np.diff(u_edges ** p), r, level)))
+    eps_nodes = un ** p
+    if eps_nodes[0] == 0.0:  # the smallest node; F is singular at eps = 0
+        raise ConvergenceError(f"alpha = {alpha:g} is too small for the quadrature "
+                               "near phi = pi/2: eps = u^(1/alpha) underflows to 0")
+    eps_weights = uw * p * un ** (p - 1.0)
     smooth = np.array([_SING_WIDTH, HALF_PI])
     nodes, weights = _panel_nodes(_split(smooth, _pieces(np.diff(smooth), r, level, 4)))
     return np.concatenate((eps_nodes, nodes)), np.concatenate((eps_weights, weights))
@@ -110,16 +103,19 @@ def _lower(spec: SeriesSpec, r: float):
     the first one and ``_hankel`` rejects it."""
     m, mp, beta, half_r = spec.m, spec.m_prime, spec.beta, r / 2.0
     n = int(math.floor(spec.a)) + 1 if spec.a >= 0.0 else 0
-    c = [1.0]  # over k = m-s .. m+s after s steps
-    for s in range(n):  # Python floats overflow to inf without a warning
+    lo, c = m, [1.0]  # c_k over k = lo, lo + 1, ...
+    for _ in range(n):  # Python floats overflow to inf without a warning
         c = [(beta - k) * c_k + half_r * (below + above)
-             for k, c_k, below, above in zip(range(m - s - 1, m + s + 2), [0.0, *c, 0.0],
+             for k, c_k, below, above in zip(itertools.count(lo - 1), [0.0, *c, 0.0],
                                              [0.0, 0.0, *c], [*c, 0.0, 0.0])]
+        # ends that underflowed to 0 feed only 0 outward: dropping them keeps
+        # the list a few orders wide at tiny r instead of growing by 2 a step
+        kept = [i for i, c_k in enumerate(c) if c_k] or [0]
+        lo, c = lo - 1 + kept[0], c[kept[0]:kept[-1] + 1]
         if not all(map(math.isfinite, c)):
             break
-    s = len(c) // 2
     terms = [(-c_k if min(k, mp) % 2 else c_k, k + mp, abs(k - mp))
-             for c_k, k in zip(c, range(m - s, m + s + 1)) if c_k]
+             for k, c_k in enumerate(c, lo) if c_k]
     return n - spec.a, terms
 
 
@@ -197,10 +193,11 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
     for r in rs:
         check_inputs(r, abs_tol, rel_tol)
     positive = [i for i, r in enumerate(rs) if r > 0.0]
-    if not positive:  # r = 0 only, where the lowering may run all floor(a) + 1 steps
+    # r enters the lowering only for a >= 0, where eval_lifted passes one r;
+    # at r = 0 it could run all floor(a) + 1 steps for the exact 0
+    alpha, terms = _lower(spec, rs[0]) if positive else (0.0, [])
+    if not terms:  # r = 0 only, or every lowered coefficient underflowed to 0
         return [EvalResult(0.0, 0.0, tag, 0) for _ in rs]
-    # r enters the lowering only for a >= 0, where eval_lifted passes one r
-    alpha, terms = _lower(spec, rs[0])
     if not all(math.isfinite(c) for c, *_ in terms):
         raise ConvergenceError(f"{tag} lowering overflowed: a coefficient at a = {spec.a:g} "
                                "is not finite")

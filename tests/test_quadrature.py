@@ -124,7 +124,7 @@ class TestHankel:
 
 
 _RNG = np.random.default_rng(3)
-# alpha below and above 1 (the u-substitution and the graded panels), nu 0..3
+# alpha below and above 1 (eps = u^(1/alpha) and u = eps), nu 0..3
 GRID_SPECS = [SeriesSpec(a, float(_RNG.uniform(-0.9, 2.0)), m, mp)
               for a, m, mp in ((-0.4, 1, 1), (-0.7, 2, 1), (-1.5, 2, 0), (-2.2, 3, 0))]
 
@@ -153,6 +153,32 @@ class TestSeam:
                   "grid": eval_hankel_grid(spec, [r])[0]}
         for name, res in routes.items():
             assert abs(res.value - want) <= 1e-11 * abs(want) + 1e-14, (name, res.value, want)
+
+
+# alpha = 1 (a = -1, or an integer a >= 0 after lowering) with even mu: F's
+# logarithmic singularity at eps = 0, which the graded panels reach from 0
+SINGULAR_CASES = [(-1.0, 0.0, 0, 0, 30.0), (-1.0, 1.0, 0, 0, 30.0), (-1.0, -0.99, 0, 0, 10.0)]
+LIFTED_SINGULAR_CASES = [(a, 0.3, m, mp, r) for a in (0.0, 1.0, 2.0)
+                         for m, mp, r in ((1, 0, 13.0), (2, 1, 2.0))]
+
+
+class TestSingularEnd:
+    # panels that leave out a sliver next to eps = 0 miss F's log mass there:
+    # 1.5e-12 to 8.7e-12 of max(1e-2, |S|), which TestSeam's bound admits
+    @staticmethod
+    def check(res, case):
+        want = sum_series(SeriesSpec(*case[:4]), case[4], tol=1e-15).value
+        assert abs(res.value - want) <= 1e-13 * max(1e-2, abs(want)), (res, want)
+
+    @pytest.mark.parametrize("case", SINGULAR_CASES)
+    def test_routes_at_alpha_one(self, case):
+        spec, r = SeriesSpec(*case[:4]), case[4]
+        for res in (eval_hankel(spec, r), eval_exp2d(spec, r), eval_hankel_grid(spec, [r])[0]):
+            self.check(res, case)
+
+    @pytest.mark.parametrize("case", LIFTED_SINGULAR_CASES)
+    def test_lifted_at_integer_a(self, case):
+        self.check(eval_lifted(SeriesSpec(*case[:4]), case[4]), case)
 
 
 class TestHankelGrid:
@@ -429,6 +455,52 @@ class TestLifted:
             want = [(-c_k if min(k, mp) % 2 else c_k, k + mp, abs(k - mp))
                     for c_k, k in zip(c, range(m - n, m + n + 1)) if c_k]
             assert quadrature._lower(SeriesSpec(a, beta, m, mp), r) == (n - a, want)
+
+    @staticmethod
+    def lower_over_all_orders(spec, r):
+        # the steps over k = m-s-1 .. m+s+1 at step s, zeros at the ends kept
+        m, mp, beta, half_r = spec.m, spec.m_prime, spec.beta, r / 2.0
+        n = int(math.floor(spec.a)) + 1 if spec.a >= 0.0 else 0
+        c = [1.0]
+        for s in range(n):
+            c = [(beta - k) * c_k + half_r * (below + above)
+                 for k, c_k, below, above in zip(range(m - s - 1, m + s + 2), [0.0, *c, 0.0],
+                                                 [0.0, 0.0, *c], [*c, 0.0, 0.0])]
+            if not all(map(math.isfinite, c)):
+                break
+        s = len(c) // 2
+        terms = [(-c_k if min(k, mp) % 2 else c_k, k + mp, abs(k - mp))
+                 for c_k, k in zip(c, range(m - s, m + s + 1)) if c_k]
+        return n - spec.a, terms
+
+    def test_lower_drops_underflowed_ends(self):
+        # an end coefficient that underflowed to 0 feeds only 0 outward, so
+        # dropping it leaves every other one bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            a = float(rng.choice([rng.integers(0, 61), rng.uniform(0.0, 60.0)]))
+            beta = float(rng.choice([rng.integers(0, 4), rng.uniform(-0.99, 3.0)]))
+            m, mp = (int(k) for k in rng.integers(0, 4, 2))
+            spec, r = SeriesSpec(a, beta, m, mp), float(10.0 ** rng.uniform(-300.0, 3.0))
+            got, want = quadrature._lower(spec, r), self.lower_over_all_orders(spec, r)
+            assert got == want, (spec, r)
+
+    def test_lower_at_tiny_r_is_fast(self):
+        # 20,001 steps whose support stays a few orders wide once the ends
+        # underflow; over all orders it took 1.5-2 s
+        spec = SeriesSpec(20000.0, 0.5, 0, 0)
+        t0 = time.perf_counter()
+        quadrature._lower(spec, 1e-300)
+        assert time.perf_counter() - t0 < 0.25
+        with pytest.raises(ConvergenceError, match="lowering overflowed"):
+            eval_lifted(spec, 1e-300)
+
+    def test_underflowed_lowering_is_zero(self):
+        # at r = 5e-324 every lowered coefficient underflows to 0 (r/2 is
+        # 0), and so does the series
+        spec = SeriesSpec(0.5, 0.0, 0, 0)
+        assert quadrature._lower(spec, 5e-324) == (0.5, [])
+        assert eval_lifted(spec, 5e-324) == EvalResult(0.0, 0.0, "lifted", 0)
 
     def test_cancellation_beyond_repair_raises(self):
         # a = 200 at r = 5: the combination stays finite, but cancellation
