@@ -1,9 +1,9 @@
 """Benchmark the Lerch factor of F: the far table, its accuracy and the local series.
 
-``f_phase(lerch_unit_many(...), ...)`` evaluates F at every far angle
-(``|2 phi - pi| >= 0.35``) from a Chebyshev expansion of the Lerch factor,
-built once per ``(alpha, beta+1)`` from the quadrature
-``specfun._lerch_integral_many`` at 128 angles.  For each case this prints
+``f_phase(lerch_unit_many(eps, ...), eps, ...)`` evaluates F at
+phi = pi/2 - eps for every far angle (``|2 eps| >= 0.35``) from a Chebyshev
+expansion of the Lerch factor, built once per ``(alpha, beta+1)`` from the
+quadrature ``specfun._lerch_integral_many`` at 128 angles.  For each case this prints
 the quadrature's t-node count, the best-of-N cold build of the table
 (``specfun._far_coeffs``, cache cleared) and the build's ``tracemalloc``
 peak.  It then times F on 4,096 seeded far angles cold (the build included)
@@ -61,7 +61,8 @@ def far_angles(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def f_cached(alpha: float, beta: float, mu: int, phis: np.ndarray) -> np.ndarray:
-    return f_phase(specfun.lerch_unit_many(phis, alpha, beta + 1.0), phis, mu)
+    eps = math.pi / 2.0 - phis
+    return f_phase(specfun.lerch_unit_many(eps, alpha, beta + 1.0), eps, mu)
 
 
 def f_quadrature(alpha: float, beta: float, mu: int, phis: np.ndarray) -> np.ndarray:
@@ -97,7 +98,7 @@ def mpmath_deviations(alpha: float, v: float, phis: np.ndarray) -> tuple[float, 
                                                  alpha, v)) for p in phis])
     scale = np.max(np.abs(want))
     quad = specfun._lerch_integral_many(phis, alpha, v)
-    cheb = specfun.lerch_unit_many(phis, alpha, v)
+    cheb = specfun.lerch_unit_many(math.pi / 2.0 - phis, alpha, v)
     return (float(np.max(np.abs(quad - want)) / scale),
             float(np.max(np.abs(cheb - want)) / scale))
 

@@ -165,7 +165,6 @@ def leading_integer(
     beta: float,
     m: int,
     m_prime: int,
-    phase_convention: str = COR42_PHASE,
     osc_term: str = COR62_OSC_TERM,
 ) -> AsymptoticForm:
     """1/r expansion at integer alpha >= 1.
@@ -193,7 +192,7 @@ def leading_integer(
     mu, nu = _canonical_orders(m, m_prime)
     if osc_term not in ("present", "absent"):
         raise DomainError("osc_term must be 'present' or 'absent'")
-    phase = _osc_phase(mu, nu, phase_convention)
+    phase = _osc_phase(mu, nu, COR42_PHASE)
     cos_half = _cos_half_pi(nu)
     terms = []
     if alpha == 1:

@@ -231,7 +231,8 @@ def _cmd_validate(args) -> int:
     else:
         sys.stdout.write(payload)
     for c in rep.checks:
-        print(f"{c.status:4s} {c.name} residual={c.residual:.3e} tol={c.tolerance:.1e}")
+        print(f"{c.status:4s} {c.name} residual={c.residual:.3e} tol={c.tolerance:.1e}",
+              file=sys.stderr)
     return 0 if rep.passed else 1
 
 

@@ -20,8 +20,8 @@ eps = pi/2 - phi, and its mirror image in (pi/2, pi] is pi/2 + eps, so
 cos(phi) = +-sin(eps).  The singularity of F at eps = 0 (order alpha-1 for
 alpha < 1, logarithmic at alpha = 1) is handled on (0, 0.4] by one graded
 rule for every alpha, eps = u^p with p = 1 / min(alpha, 1); eps = 0 itself
-is never a node.  ``fseries.lerch_factor`` sends each node to the Lerch
-local series or the far table by the one seam |2 eps| = 0.35.
+is never a node.  F comes from ``specfun.lerch_unit_many`` and ``f_phase``
+at eps, or at -eps on the mirror half: no route forms phi.
 """
 from __future__ import annotations
 
@@ -32,9 +32,9 @@ import numpy as np
 
 from .direct import EvalResult, SeriesSpec, check_inputs
 from .errors import ConvergenceError, DomainError
-from .fseries import f_phase, lerch_factor
+from .fseries import f_phase
 from .kernels import bessel_j_col
-from .specfun import gauss_panel_nodes as _panel_nodes
+from .specfun import gauss_panel_nodes as _panel_nodes, lerch_unit_many
 
 HALF_PI = math.pi / 2.0
 _SING_WIDTH = 0.4  # size of the graded region left of pi/2
@@ -141,8 +141,9 @@ def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int
     args = np.repeat(2.0 * np.array(rs), sizes) * np.sin(eps)
     orders = sorted({nu for *_, nu in terms})
     cols = dict(zip(orders, bessel_j_col(orders, args)))
-    lam, phis = lerch_factor(alpha, beta, eps, -1 if mirror else 1)
-    products = (c * weights * f_phase(lam, phis, mu) * cols[nu] for c, mu, nu in terms)
+    signed = -eps if mirror else eps  # pi/2 + eps is the angle pi/2 - (-eps)
+    lam = lerch_unit_many(signed, alpha, beta + 1.0)
+    products = (c * weights * f_phase(lam, signed, mu) * cols[nu] for c, mu, nu in terms)
     integrand = sum(products, next(products))  # a running sum; one term stays exact
     ends = itertools.accumulate(sizes)
     return [(float(np.sum(integrand[end - size:end])), len(terms) * size)
@@ -265,7 +266,7 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
 
     The integrand is ``_lower``'s single term (c, mu, nu), c inside the
     prefactor 2 i^{-mu} / pi^2.  phi runs on the Hankel route's eps mesh and
-    its mirror, with F from ``lerch_factor``; theta on ``_theta_rule``'s
+    its mirror, -eps, with F from ``lerch_unit_many``; theta on ``_theta_rule``'s
     midpoint rule, exact to rounding on the part of the theta integrand that
     carries the value (a full period of a periodic analytic function, aliased
     only through J_{4n-nu}).
@@ -284,13 +285,13 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
 
     def evaluate(level, _rows):
         eps, w = _half_mesh(r, alpha, level)
-        # pi/2 - eps and pi/2 + eps (sides +1 and -1) have cosines of
+        # pi/2 - eps and pi/2 + eps (eps and -eps) have cosines of
         # opposite sign, so their kernels e^{+-i x} are conjugate: one real
         # cos(x) and one sin(x) per pair, x = 2 r sin(eps) cos(theta).  F is
-        # evaluated on both sides, so the imaginary residue still checks the
+        # evaluated on both halves, so the imaginary residue still checks the
         # formula.
-        plus, minus = (w * f_phase(*lerch_factor(alpha, spec.beta, eps, side), mu)
-                       for side in (1, -1))
+        plus, minus = (w * f_phase(lerch_unit_many(e, alpha, spec.beta + 1.0), e, mu)
+                       for e in (eps, -eps))
         two_r_cphi = 2.0 * r * np.sin(eps)
         tn, tw = _theta_rule(r, nu, level)
         ctheta = np.cos(tn)

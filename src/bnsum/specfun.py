@@ -129,9 +129,10 @@ def hurwitz_zeta(s: float, a: float) -> float:
     return acc
 
 
-def _alternating_sum(term, n: int = 48) -> float:
+def _alternating_sum(term, n: int = 24) -> float:
     # Chebyshev-polynomial acceleration of sum_{k>=0} (-1)^k term(k); needs
-    # term(k) to be totally monotone, which (k+a)^(-s) with s > 0 is.
+    # term(k) to be totally monotone, which (k+a)^(-s) with s > 0 is.  Its
+    # relative error is at most 2 / (3 + sqrt 8)^n, about 3e-18 at n = 24.
     d = (3.0 + 2.0 * math.sqrt(2.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -145,13 +146,15 @@ def _alternating_sum(term, n: int = 48) -> float:
 
 
 def phi_minus_one(s: float, a: float) -> float:
-    """Phi(-1, s, a); finite at s=1 via the accelerated alternating series."""
+    """Phi(-1, s, a): the accelerated alternating series for s > 0, and for
+    s <= 0 the difference (zeta(s, a/2) - zeta(s, (a+1)/2)) / 2^s, which
+    cancels at large a where the series does not."""
     if not abs(s) < math.inf:
         raise DomainError("phi_minus_one requires a finite s")
     if not a > 0.0:
         raise DomainError("phi_minus_one requires a > 0")
-    if s == 1.0:
-        return _alternating_sum(lambda k: 1.0 / (k + a))
+    if s > 0.0:
+        return _alternating_sum(lambda k: (k + a) ** -s)
     return (hurwitz_zeta(s, a / 2.0) - hurwitz_zeta(s, (a + 1.0) / 2.0)) / 2.0 ** s
 
 
@@ -159,7 +162,7 @@ def phi_minus_one(s: float, a: float) -> float:
 # Lerch transcendent on the unit circle: Phi(-e^{2 i phi}, alpha, v)
 # ---------------------------------------------------------------------------
 
-_NEAR_HALF_PI = 0.35  # |2*phi - pi| below this switches to the local expansion
+_NEAR_HALF_PI = 0.35  # |2 eps| = |2 phi - pi| below this takes the local series
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -324,22 +327,26 @@ def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
     return (re + 1j * im) * np.exp(-1j * v * ells)
 
 
-def lerch_far_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
-    """Phi(-e^{2 i phi}, alpha, v) from the far table at every angle of ``phis``;
-    right where |2 phi - pi| >= _NEAR_HALF_PI (mod 2 pi)."""
-    phis = phis - math.pi * np.round(phis / math.pi)  # period pi; exact (Sterbenz)
-    return np.polynomial.chebyshev.chebval(phis / _FAR_EDGE, _far_coeffs(alpha, v))
+def lerch_far_many(eps: np.ndarray, alpha: float, v: float) -> np.ndarray:
+    """Phi(-e^{2 i phi}, alpha, v) at phi = pi/2 - eps, eps in [-pi/2, pi/2], from
+    the far table; right where |2 eps| >= _NEAR_HALF_PI.  The period pi folds
+    phi onto copysign(pi/2, eps) - eps, exact for |eps| >= pi/4 (Sterbenz)."""
+    folded = np.copysign(math.pi / 2.0, eps) - eps
+    return np.polynomial.chebyshev.chebval(folded / _FAR_EDGE, _far_coeffs(alpha, v))
 
 
-def lerch_unit_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
-    """Vectorized Phi(-e^{2 i phi}, alpha, v) over an array of angles in [0, pi]."""
-    phis = np.asarray(phis, dtype=np.float64)
-    out = np.empty(phis.shape, dtype=np.complex128)
-    near = np.abs(2.0 * phis - math.pi) < _NEAR_HALF_PI
+def lerch_unit_many(eps: np.ndarray, alpha: float, v: float) -> np.ndarray:
+    """Phi(-e^{2 i phi}, alpha, v) at phi = pi/2 - eps over an array of signed
+    eps in [-pi/2, pi/2], so angles within one ulp of pi/2 stay distinct.  The
+    one seam: |2 eps| < _NEAR_HALF_PI takes the local series at ell = -2 eps,
+    every other eps the far table."""
+    eps = np.asarray(eps, dtype=np.float64)
+    out = np.empty(eps.shape, dtype=np.complex128)
+    near = np.abs(2.0 * eps) < _NEAR_HALF_PI
     if (~near).any():
-        out[~near] = lerch_far_many(phis[~near], alpha, v)
+        out[~near] = lerch_far_many(eps[~near], alpha, v)
     if near.any():
-        out[near] = lerch_local_many(2.0 * phis[near] - math.pi, alpha, v)
+        out[near] = lerch_local_many(-2.0 * eps[near], alpha, v)
     return out
 
 
@@ -349,7 +356,7 @@ def lerch_unit(phi: float, alpha: float, v: float) -> complex:
         raise DomainError("phi must lie in [0, pi]")
     if not (alpha > 0.0 and v > 0.0):
         raise DomainError("lerch_unit requires alpha > 0 and v > 0")
-    return complex(lerch_unit_many(np.array([phi]), alpha, v)[0])
+    return complex(lerch_unit_many(np.array([math.pi / 2.0 - phi]), alpha, v)[0])
 
 
 def lerch_unit_series(phi: float, alpha: float, v: float, terms: int = 6000) -> complex:

@@ -201,7 +201,10 @@ class TestPhaseConstants:
         assert leading_noninteger(1.5, 0.5, 2, 1) == leading_noninteger(
             1.5, 0.5, 2, 1, phase_convention=COR42_PHASE)
         assert leading_integer(1, 0.0, 0, 0) == leading_integer(
-            1, 0.0, 0, 0, phase_convention=COR42_PHASE, osc_term=COR62_OSC_TERM)
+            1, 0.0, 0, 0, osc_term=COR62_OSC_TERM)
+        for m, mp in ((0, 0), (2, 1), (3, 0)):
+            (sin2r,) = [t for t in leading_integer(2, 0.5, m, mp).terms if t.osc == "sin2r"]
+            assert sin2r.phase == -0.5 * math.pi * (m + mp)
 
     def test_suite_writes_nothing(self):
         root = Path(bnsum.__file__).parent

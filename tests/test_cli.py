@@ -351,3 +351,10 @@ class TestValidate:
         obj = json.loads(report.read_text())
         assert all(c["status"] == "pass" for c in obj["checks"])
         assert all(math.isfinite(c["residual"]) for c in obj["checks"])
+
+    def test_stdout_is_json(self, capsys):
+        # the per-check summary goes to stderr, so stdout loads as one report
+        code, out, err = run(capsys, "validate", "--suite", "kernel")
+        assert code == 0
+        obj = json.loads(out)
+        assert all(f" {c['name']} residual=" in err for c in obj["checks"])

@@ -1,22 +1,29 @@
 """Tests for the amplitude function F and its singular local behavior."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from bnsum.errors import DomainError, SingularityError
-from bnsum.fseries import f_phase, lerch_factor
+from bnsum.fseries import f_phase
 from bnsum.specfun import gamma, lerch_unit_many
 
 HALF_PI = math.pi / 2.0
 
 
-def f_values(alpha, beta, mu, nodes, side=0):
-    """F at phi = ``nodes`` (side 0) or at pi/2 - side*eps, eps = ``nodes``."""
-    nodes = np.asarray(nodes, dtype=float)
-    if not side:
-        return f_phase(lerch_unit_many(nodes, alpha, beta + 1.0), nodes, mu)
-    return f_phase(*lerch_factor(alpha, beta, nodes, side), mu)
+def f_values(alpha, beta, mu, eps):
+    """F at phi = pi/2 - eps for each signed eps of ``eps``."""
+    eps = np.asarray(eps, dtype=float)
+    return f_phase(lerch_unit_many(eps, alpha, beta + 1.0), eps, mu)
+
+
+def f_mpmath(alpha, beta, mu, eps: float) -> float:
+    """F at phi = pi/2 - eps in 30-digit mpmath, eps taken exactly."""
+    with mpmath.workdps(30):
+        phi = mpmath.pi / 2 - mpmath.mpf(eps)
+        lam = mpmath.lerchphi(-mpmath.exp(2j * phi), alpha, beta + 1)
+        return float(mpmath.re(-mpmath.exp(1j * phi * (mu + 2)) * lam))
 
 
 def f_eval(alpha, beta, mu, phi: float, return_imag_residual: bool = False):
@@ -27,11 +34,11 @@ def f_eval(alpha, beta, mu, phi: float, return_imag_residual: bool = False):
     """
     if not (0.0 <= phi <= math.pi):
         raise DomainError("phi must lie in [0, pi]")
-    value = float(f_values(alpha, beta, mu, [phi])[0])
+    value = float(f_values(alpha, beta, mu, [HALF_PI - phi])[0])
     if not return_imag_residual:
         return value
-    lam_pos = lerch_unit_many(np.array([phi]), alpha, beta + 1.0)[0]
-    lam_neg = lerch_unit_many(np.array([math.pi - phi]), alpha, beta + 1.0)[0]
+    lam_pos = lerch_unit_many(np.array([HALF_PI - phi]), alpha, beta + 1.0)[0]
+    lam_neg = lerch_unit_many(np.array([phi - HALF_PI]), alpha, beta + 1.0)[0]
     # Phi(-e^{-2 i phi}) = Phi(-e^{2 i (pi - phi)}): both branches evaluated
     # independently, so conjugate symmetry is genuinely tested.
     sym = -0.5 * np.exp(-1j * phi * (mu + 2)) * (
@@ -91,7 +98,7 @@ class TestFEval:
 
     def test_singular_point_raises(self):
         with pytest.raises(SingularityError):
-            f_values(0.5, 0.0, 0, [HALF_PI])
+            f_values(0.5, 0.0, 0, [0.0])
 
     def test_half_pi_value_alpha_gt_one(self):
         # F(pi/2) = cos(pi mu / 2) * zeta(alpha, beta+1) ... sign from -e^{i phi(mu+2)}
@@ -104,30 +111,29 @@ class TestFEval:
 class TestNearHalf:
     def test_matches_direct_eval(self):
         eps = np.array([1e-2, 1e-4, 1e-6])
-        near = f_values(0.6, 0.2, 1, eps, side=1)
-        direct = f_values(0.6, 0.2, 1, HALF_PI - eps)
-        np.testing.assert_allclose(near, direct, rtol=1e-9)
+        near = f_values(0.6, 0.2, 1, eps)
+        want = [f_mpmath(0.6, 0.2, 1, e) for e in eps]
+        np.testing.assert_allclose(near, want, rtol=1e-13)
 
     def test_subulp_nodes_finite(self):
         # distances below one ulp of pi/2 must still evaluate, not collapse
         eps = np.array([1e-20, 1e-30])
-        vals = f_values(0.5, 0.0, 0, eps, side=1)
+        vals = f_values(0.5, 0.0, 0, eps)
         assert np.all(np.isfinite(vals))
         # leading behavior ~ eps^{alpha-1} grows as eps -> 0
         assert abs(vals[1]) > abs(vals[0])
 
     def test_above_side(self):
-        eps = np.array([1e-3])
-        above = f_values(0.6, 0.2, 1, eps, side=-1)
-        direct = f_values(0.6, 0.2, 1, HALF_PI + eps)
-        np.testing.assert_allclose(above, direct, rtol=1e-9)
+        # pi/2 + eps is the angle pi/2 - (-eps)
+        above = f_values(0.6, 0.2, 1, [-1e-3])
+        np.testing.assert_allclose(above, [f_mpmath(0.6, 0.2, 1, -1e-3)], rtol=1e-13)
 
 
 class TestSingularModel:
     def test_ratio_tends_to_one(self):
         prev = None
         for eps in (1e-3, 1e-5, 1e-7):
-            val = float(f_values(0.4, 0.0, 1, [eps], side=1)[0])
+            val = float(f_values(0.4, 0.0, 1, [eps])[0])
             model = f_singular_model(0.4, 1, HALF_PI - eps, "below")
             ratio = val / model
             if prev is not None:

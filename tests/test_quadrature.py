@@ -6,10 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from bnsum import fseries, kernels, quadrature
+from bnsum import kernels, quadrature, specfun
 from bnsum.direct import EvalResult, SeriesSpec, sum_series
 from bnsum.errors import ConvergenceError, DomainError
-from bnsum.fseries import f_phase, lerch_factor
+from bnsum.fseries import f_phase
 from bnsum.quadrature import HALF_PI, eval_exp2d, eval_hankel, eval_hankel_grid, eval_lifted
 
 
@@ -232,9 +232,9 @@ class TestHankelGrid:
             eval_hankel_grid(spec, rs)
 
 
-def f_values(alpha, beta, mu, eps, side):
-    """F at pi/2 - side*eps."""
-    return f_phase(*lerch_factor(alpha, beta, eps, side), mu)
+def f_values(alpha, beta, mu, eps):
+    """F at pi/2 - eps for each signed eps of ``eps``."""
+    return f_phase(specfun.lerch_unit_many(eps, alpha, beta + 1.0), eps, mu)
 
 
 def exp2d_unfolded(spec: SeriesSpec, r: float):
@@ -248,8 +248,7 @@ def exp2d_unfolded(spec: SeriesSpec, r: float):
         eps, eps_w = quadrature._half_mesh(r, alpha, level)
         cphi = np.concatenate((np.sin(eps), -np.sin(eps)))
         w = np.concatenate((eps_w, eps_w))
-        fvals = np.concatenate((f_values(alpha, spec.beta, mu, eps, 1),
-                                f_values(alpha, spec.beta, mu, eps, -1)))
+        fvals = f_values(alpha, spec.beta, mu, np.concatenate((eps, -eps)))
         tn, tw = quadrature._theta_rule(r, nu, level)
         ctheta = np.cos(tn)[None, :]
         rows = max(1, quadrature._KERNEL_CELLS // tn.size)
@@ -408,8 +407,9 @@ class TestLifted:
             return wrapper
 
         monkeypatch.setattr(quadrature, "_hankel_halves", level)
-        monkeypatch.setattr(fseries, "lerch_unit_many", counted("u", fseries.lerch_unit_many))
-        monkeypatch.setattr(fseries, "lerch_local_many", counted("l", fseries.lerch_local_many))
+        monkeypatch.setattr(quadrature, "lerch_unit_many",
+                            counted("u", quadrature.lerch_unit_many))
+        monkeypatch.setattr(specfun, "lerch_local_many", counted("l", specfun.lerch_local_many))
         monkeypatch.setattr(kernels, "bessel_rows", counted("r", kernels.bessel_rows))
         eval_lifted(SeriesSpec(2.9, 0.3, 0, 3), 20.0)
         assert len(level_terms[0]) == 7

@@ -98,6 +98,11 @@ class TestPhiMinusOne:
         for s, a in [(1.0, 1.7), (2.0, 1.0), (0.5, 2.2), (3.5, 0.4)]:
             want = float(mpmath.lerchphi(-1, s, a))
             assert phi_minus_one(s, a) == pytest.approx(want, rel=1e-11)
+        # here (zeta(s, a/2) - zeta(s, (a+1)/2)) / 2^s cancels to 1.4e-12,
+        # 4.8e-13 and 3.2e-13 relative; approx's default abs of 1e-12 hides that
+        for s, a in [(0.9, 1000.0), (0.5, 1000.0), (1.5, 1000.0)]:
+            want = float(mpmath.lerchphi(-1, s, a))
+            assert phi_minus_one(s, a) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestLerchUnit:
@@ -152,16 +157,29 @@ class TestLerchUnit:
         for alpha in (0.05, 0.15, 0.5, 1.0, 1.5, 2.0, 3.0):
             for v in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0):
                 want = specfun._lerch_integral_many(phis, alpha, v)
-                got = lerch_unit_many(phis, alpha, v)
+                got = lerch_unit_many(math.pi / 2.0 - phis, alpha, v)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (alpha, v)
 
     def test_vectorized_matches_scalar(self):
         phis = np.linspace(0.1, 3.0, 17)
-        many = lerch_unit_many(phis, 1.3, 1.1)
+        many = lerch_unit_many(math.pi / 2.0 - phis, 1.3, 1.1)
         for phi, val in zip(phis, many):
             assert complex(val) == pytest.approx(
                 lerch_unit(float(phi), 1.3, 1.1), rel=1e-12
             )
+
+    def test_mirror_is_conjugate(self):
+        # pi/2 + eps is the angle pi/2 - (-eps), where Phi(e^{-2 i eps}) is the
+        # conjugate of Phi(e^{2 i eps}); the mirror half of every route relies
+        # on it.  Angles on both sides of the seam and across (0, pi/2].
+        rng = np.random.default_rng(5)
+        eps = np.concatenate((rng.uniform(0.15, 0.2, 100),
+                              math.pi / 2.0 - rng.uniform(0.0, math.pi / 2.0, 200)))
+        for alpha in (0.05, 0.5, 1.0, 1.5, 2.85):
+            for v in (0.01, 1.0, 3.0):
+                lam = lerch_unit_many(eps, alpha, v)
+                gap = np.max(np.abs(lerch_unit_many(-eps, alpha, v) - np.conj(lam)))
+                assert gap <= 1e-13 * np.max(np.abs(lam)), (alpha, v)
 
 
 def _complex_local(ells, alpha, v):
@@ -203,7 +221,7 @@ class TestLerchLayer:
             scale = np.max(np.abs(want))
             got = specfun._lerch_integral_many(phis, alpha, v)
             assert np.max(np.abs(got - want)) <= 1e-14 * scale, (alpha, v)
-            got = lerch_unit_many(phis % math.pi, alpha, v)
+            got = lerch_unit_many(math.pi / 2.0 - phis % math.pi, alpha, v)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (alpha, v)
 
     def test_far_table_size_and_memory(self):
