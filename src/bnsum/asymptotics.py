@@ -4,7 +4,8 @@ An :class:`AsymptoticForm` is a sum of terms ``coeff * r^{-power} * osc(r)``
 with ``osc`` one of a constant, ``log r``, ``sin(2r + phase)`` or
 ``cos(2r + phase)``, plus the claimed error exponent.  Constructors cover the
 negative-exponent regime (``alpha = -a > 0``, non-integer and integer), the
-non-negative regime (growth ``r^a``) and the derivative-series tables.
+non-negative regime (growth ``r^a``) and the derivative series, whose forms
+are contracted from those over the J'/J'' stencils of :mod:`bnsum.direct`.
 
 Two source displays disagree on the phase of the oscillatory 1/r term (one
 writes ``-pi*mu/2``, the other ``-pi*nu/2``, with ``mu = m+m'``,
@@ -20,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .direct import DERIVATIVE_KINDS, STENCILS
 from .errors import DomainError
 from .specfun import (
-    EULER_GAMMA,
     digamma,
     gamma,
     harmonic_extended,
@@ -98,22 +99,58 @@ def _sin_half_pi(nu: int) -> float:
     return (0.0, 1.0, 0.0, -1.0)[nu % 4]
 
 
-def _osc_phase(mu: int, nu: int, phase_convention: str) -> float:
+def _phase_index(mu: int, nu: int, phase_convention: str) -> int:
+    """k in the oscillatory term's sin(2r - pi k/2)."""
     if phase_convention == "mu":
-        return -0.5 * math.pi * mu
+        return mu
     if phase_convention == "nu":
-        return -0.5 * math.pi * nu
+        return nu
     raise DomainError("phase_convention must be 'mu' or 'nu'")
 
 
-def _one_over_r_coeffs(alpha: float, beta: float) -> tuple[float, float]:
-    """The 1/r pair shared by the non-integer expansion, the integer one at
-    alpha > 1 and (up to sign) the a < -1 derivative table:
-    zeta(alpha, beta+1)/pi and -Phi(-1, alpha, beta+1)/pi, the coefficients of
-    cos(pi nu/2) and of sin(2r + phase).  The second is at alpha = 1 also the
-    oscillatory coefficient of ``leading_integer``, where the first diverges."""
-    zeta_1r = hurwitz_zeta(alpha, beta + 1.0) / math.pi
-    return zeta_1r, -phi_minus_one(alpha, beta + 1.0) / math.pi
+def _base_form(a: float, beta: float, mu: int, nu: int, one_over_r: bool = True,
+               phase_convention: str = COR42_PHASE,
+               osc_term: str = COR62_OSC_TERM) -> AsymptoticForm:
+    """Leading terms of sum_{l>=1} (l+beta)^a J_{l+m'} J_{l+m}, mu = m+m',
+    nu = |m-m'|.
+
+    The r^a term 2^{-a-1} Gamma(a+1) / (Gamma((a+2-nu)/2) Gamma((a+2+nu)/2))
+    is a Mellin value continued in a, computed through ``reciprocal_gamma``
+    so that it vanishes continuously at the denominator's poles; at integer
+    a <= -1 it is absent and the 1/r terms carry a log r or a zeta value in
+    its place.  ``one_over_r=False`` keeps the r^a term alone, the leading
+    growth for a > -1.  ``osc_term='absent'`` drops the oscillatory term at
+    integer a <= -1.
+    """
+    alpha = -a
+    integer = alpha >= 1.0 and alpha == math.floor(alpha)
+    terms = []
+    if not integer:
+        terms.append((
+            2.0 ** (-a - 1.0)
+            * gamma(a + 1.0)
+            * reciprocal_gamma((-nu + a + 2.0) / 2.0)
+            * reciprocal_gamma((nu + a + 2.0) / 2.0),
+            -a, "const"))
+    gamma_err, strict = -a, True
+    if one_over_r:
+        cos_half = _cos_half_pi(nu)
+        if alpha == 1.0:
+            terms.append((cos_half / math.pi, 1.0, "logr"))
+            terms.append((-cos_half * (
+                harmonic_extended(beta) + digamma((nu + 1.0) / 2.0) + math.log(2.0)
+            ) / math.pi, 1.0, "const"))
+            terms.append((0.5 * _sin_half_pi(nu), 1.0, "const"))
+            gamma_err = 1.0
+        else:
+            terms.append((cos_half * hurwitz_zeta(alpha, beta + 1.0) / math.pi, 1.0, "const"))
+            # at integer alpha the error is O(r^{-2+eps}), eps arbitrarily small
+            gamma_err, strict = min(alpha + 1.0, 2.0), integer
+        phase = -0.5 * math.pi * _phase_index(mu, nu, phase_convention)
+        if osc_term == "present" or not integer:
+            terms.append((-phi_minus_one(alpha, beta + 1.0) / math.pi, 1.0, "sin2r", phase))
+    return AsymptoticForm(
+        tuple(AsymptoticTerm(*t) for t in terms if t[0] != 0.0), gamma_err, strict)
 
 
 def leading_noninteger(
@@ -139,25 +176,8 @@ def leading_noninteger(
         raise DomainError("leading_noninteger requires non-integer alpha > 0")
     if beta <= -1.0:
         raise DomainError("beta must be > -1")
-    mu, nu = _canonical_orders(m, m_prime)
-    lead = (
-        2.0 ** (alpha - 1.0)
-        * gamma(1.0 - alpha)
-        * reciprocal_gamma((nu - alpha + 2.0) / 2.0)
-        * reciprocal_gamma((-nu - alpha + 2.0) / 2.0)
-    )
-    zeta_1r, osc_1r = _one_over_r_coeffs(alpha, beta)
-    const_1r = _cos_half_pi(nu) * zeta_1r
-    terms = []
-    if lead != 0.0:
-        terms.append(AsymptoticTerm(lead, alpha))
-    if const_1r != 0.0:
-        terms.append(AsymptoticTerm(const_1r, 1.0))
-    if osc_1r != 0.0:
-        terms.append(
-            AsymptoticTerm(osc_1r, 1.0, "sin2r", _osc_phase(mu, nu, phase_convention))
-        )
-    return AsymptoticForm(tuple(terms), min(alpha + 1.0, 2.0))
+    return _base_form(-alpha, beta, *_canonical_orders(m, m_prime),
+                      phase_convention=phase_convention)
 
 
 def leading_integer(
@@ -186,37 +206,12 @@ def leading_integer(
     """
     if not (isinstance(alpha, int) or alpha == math.floor(alpha)) or alpha < 1:
         raise DomainError("leading_integer requires integer alpha >= 1")
-    alpha = int(alpha)
     if beta <= -1.0:
         raise DomainError("beta must be > -1")
     mu, nu = _canonical_orders(m, m_prime)
     if osc_term not in ("present", "absent"):
         raise DomainError("osc_term must be 'present' or 'absent'")
-    phase = _osc_phase(mu, nu, COR42_PHASE)
-    cos_half = _cos_half_pi(nu)
-    terms = []
-    if alpha == 1:
-        if cos_half != 0.0:
-            terms.append(AsymptoticTerm(cos_half / math.pi, 1.0, "logr"))
-            const = -cos_half * (
-                harmonic_extended(beta) + digamma((nu + 1.0) / 2.0) + math.log(2.0)
-            ) / math.pi
-            terms.append(AsymptoticTerm(const, 1.0))
-        sin_half = _sin_half_pi(nu)
-        if sin_half != 0.0:
-            terms.append(AsymptoticTerm(0.5 * sin_half, 1.0))
-        if osc_term == "present":
-            terms.append(
-                AsymptoticTerm(-phi_minus_one(1.0, beta + 1.0) / math.pi, 1.0, "sin2r", phase)
-            )
-        return AsymptoticForm(tuple(terms), 1.0, strict=True)
-    zeta_1r, osc_1r = _one_over_r_coeffs(float(alpha), beta)
-    if cos_half != 0.0:
-        terms.append(AsymptoticTerm(cos_half * zeta_1r, 1.0))
-    if osc_term == "present":
-        terms.append(AsymptoticTerm(osc_1r, 1.0, "sin2r", phase))
-    # error O(r^{-2+eps}) with eps arbitrarily small
-    return AsymptoticForm(tuple(terms), 2.0, strict=True)
+    return _base_form(-float(alpha), beta, mu, nu, osc_term=osc_term)
 
 
 def leading_nonneg(a: float, m: int, m_prime: int) -> AsymptoticForm:
@@ -229,15 +224,7 @@ def leading_nonneg(a: float, m: int, m_prime: int) -> AsymptoticForm:
     """
     if a < 0.0:
         raise DomainError("leading_nonneg requires a >= 0")
-    _, nu = _canonical_orders(m, m_prime)
-    coeff = (
-        2.0 ** (-a - 1.0)
-        * gamma(a + 1.0)
-        * reciprocal_gamma((-nu + a + 2.0) / 2.0)
-        * reciprocal_gamma((nu + a + 2.0) / 2.0)
-    )
-    terms = (AsymptoticTerm(coeff, -a),) if coeff != 0.0 else ()
-    return AsymptoticForm(terms, -a, strict=True)
+    return _base_form(a, 0.0, *_canonical_orders(m, m_prime), one_over_r=False)
 
 
 _REGIMES = ("a>-1", "a=-1", "a<-1")
@@ -247,8 +234,16 @@ def derivative_series_form(kind: str, regime: str, a: float, beta: float) -> Asy
     """Leading form of sum (l+beta)^a X_l Y_l with X, Y in {J, J', J''}.
 
     ``kind`` is one of JJ, JdJ, dJdJ, JddJ, dJddJ, ddJddJ as in
-    :mod:`bnsum.direct`; ``regime`` selects the a > -1 (growth r^a),
-    a = -1 (log r / r) or a < -1 (1/r) table.
+    :mod:`bnsum.direct`; ``regime`` names the range of a that must hold:
+    a > -1 (growth r^a), a = -1 (log r / r) or a < -1 (1/r).
+
+    The form is a corollary of the base forms.  With X_l and Y_l the stencils
+    sx sum_s x_s J_{l+s} and sy sum_t y_t J_{l+t} of
+    :data:`bnsum.direct.STENCILS`, the series is sx sy sum x_s y_t times the
+    base series of orders (s, t), whose leading terms depend only on
+    mu = s + t mod 4 and nu = |s - t|.  The weights are summed per
+    (mu mod 4, nu) first, so a group that cancels analytically is exactly 0,
+    and each coefficient is an exactly rounded sum over the groups.
     """
     if regime not in _REGIMES:
         raise DomainError(f"regime must be one of {_REGIMES}")
@@ -260,57 +255,27 @@ def derivative_series_form(kind: str, regime: str, a: float, beta: float) -> Asy
         raise DomainError("regime 'a=-1' requires a == -1")
     if regime == "a<-1" and not a < -1.0:
         raise DomainError("regime 'a<-1' requires a < -1")
-
-    if regime == "a>-1":
-        if kind == "JJ":
-            c = 2.0 ** (-a - 1.0) * gamma(a + 1.0) * reciprocal_gamma(a / 2.0 + 1.0) ** 2
-        elif kind == "dJdJ":
-            c = gamma((a + 1.0) / 2.0) / (4.0 * math.sqrt(math.pi)) * reciprocal_gamma(a / 2.0 + 2.0)
-        elif kind == "JddJ":
-            c = -gamma((a + 1.0) / 2.0) / (4.0 * math.sqrt(math.pi)) * reciprocal_gamma(a / 2.0 + 2.0)
-        elif kind == "ddJddJ":
-            c = (
-                3.0 * 2.0 ** (-a - 5.0) * (a + 2.0) * (a + 4.0)
-                * gamma(a + 1.0) * reciprocal_gamma(a / 2.0 + 3.0) ** 2
-            )
-        elif kind in ("JdJ", "dJddJ"):
-            return AsymptoticForm((), -a, strict=True)
-        else:
-            raise DomainError(f"unknown kind {kind!r}")
-        return AsymptoticForm((AsymptoticTerm(c, -a),), -a, strict=True)
-
-    pi = math.pi
-    if regime == "a=-1":
-        h = harmonic_extended(beta)
-        psi_b = digamma(beta + 1.0)
-        phi1 = phi_minus_one(1.0, beta + 1.0)
-        table = {
-            "JJ": ((1.0 / pi, "logr"), ((-h + math.log(2.0) + EULER_GAMMA) / pi, "const")),
-            "JdJ": ((-phi1 / pi, "cos2r"),),
-            "dJdJ": (
-                (1.0 / pi, "logr"),
-                ((-h + EULER_GAMMA - 1.0 + math.log(2.0)) / pi, "const"),
-            ),
-            "JddJ": ((-1.0 / pi, "logr"), ((psi_b - math.log(2.0) + 1.0) / pi, "const")),
-            "dJddJ": ((phi1 / pi, "cos2r"),),
-            "ddJddJ": (
-                (1.0 / pi, "logr"),
-                ((-3.0 * psi_b - 4.0 + math.log(8.0)) / (3.0 * pi), "const"),
-            ),
-        }
-        gamma_err = 1.0
-    else:  # a < -1
-        z, w = _one_over_r_coeffs(-a, beta)
-        table = {
-            "JJ": ((z, "const"), (w, "sin2r")),
-            "JdJ": ((w, "cos2r"),),
-            "dJdJ": ((z, "const"), (-w, "sin2r")),
-            "JddJ": ((z, "const"), (w, "sin2r")),
-            "dJddJ": ((-w, "cos2r"),),
-            "ddJddJ": ((z, "const"), (w, "sin2r")),
-        }
-        gamma_err = 2.0  # O(r^{-2+eps}) with eps arbitrarily small
-    if kind not in table:
+    if kind not in DERIVATIVE_KINDS:
         raise DomainError(f"unknown kind {kind!r}")
-    terms = tuple(AsymptoticTerm(c, 1.0, osc) for c, osc in table[kind])
-    return AsymptoticForm(terms, gamma_err, strict=True)
+    (sx, xs), (sy, ys) = (STENCILS[f] for f in DERIVATIVE_KINDS[kind])
+    groups = {}
+    for s, ws in xs:
+        for t, wt in ys:
+            key = ((s + t) % 4, abs(s - t))
+            groups[key] = groups.get(key, 0) + ws * wt
+    parts = {}
+    for (mu, nu), w in groups.items():
+        if w == 0:
+            continue
+        w *= sx * sy
+        k = _phase_index(mu, nu, COR42_PHASE)
+        base = _base_form(a, beta, mu, nu, one_over_r=regime != "a>-1")
+        for term in base.terms:
+            # sin(2r - pi k/2) = cos(pi k/2) sin 2r - sin(pi k/2) cos 2r
+            folded = (((_cos_half_pi(k), "sin2r"), (-_sin_half_pi(k), "cos2r"))
+                      if term.osc == "sin2r" else ((1.0, term.osc),))
+            for f, tag in folded:
+                parts.setdefault((term.power, tag), []).append(w * f * term.coeff)
+    sums = ((math.fsum(cs), power, tag) for (power, tag), cs in parts.items())
+    terms = tuple(AsymptoticTerm(c, power, tag) for c, power, tag in sums if c != 0.0)
+    return AsymptoticForm(terms, base.gamma_err, base.strict)

@@ -24,7 +24,23 @@ _HARD_CAP = 10**6
 # enters err_est weighted by the other factor of each product.
 _BESSEL_ABS_ERR = 2e-15
 
-DERIVATIVE_KINDS = ("JJ", "JdJ", "dJdJ", "JddJ", "dJddJ", "ddJddJ")
+# J, J' and J'' at order l: scale * sum of weight * J_{l+shift} over the
+# (shift, weight) pairs, added in this order (DLMF 10.6.1).  The oracle, the
+# derivative forms of ``asymptotics`` and the identities suite all read it.
+STENCILS = {
+    "J": (1.0, ((0, 1),)),
+    "dJ": (0.5, ((-1, 1), (1, -1))),
+    "ddJ": (0.25, ((2, 1), (-2, 1), (0, -2))),
+}
+# the factors X, Y of each kind of sum_{l>=1} (l+beta)^a X_l(r) Y_l(r)
+DERIVATIVE_KINDS = {
+    "JJ": ("J", "J"),
+    "JdJ": ("J", "dJ"),
+    "dJdJ": ("dJ", "dJ"),
+    "JddJ": ("J", "ddJ"),
+    "dJddJ": ("dJ", "ddJ"),
+    "ddJddJ": ("ddJ", "ddJ"),
+}
 
 
 @dataclass(frozen=True)
@@ -171,42 +187,32 @@ def sum_series(spec: SeriesSpec, r: float, tol: float = 1e-12) -> EvalResult:
     return EvalResult(value, err, "oracle", length)
 
 
-def _derivative_arrays(row: np.ndarray, length: int) -> dict[str, np.ndarray]:
-    """J, J' and J'' at orders 1..length from a row J_0..J_{length+2}.
-
-    Derivatives come from the three-term recurrences; negative orders enter
-    only for l in {1, 2} via J_{-1} = -J_1, J_{-2} = J_2.
-    """
-    j = row[1 : length + 1]
-    j_m1 = row[0:length]  # J_{l-1}
-    j_p1 = row[2 : length + 2]
-    j_p2 = row[3 : length + 3]
-    j_m2 = np.empty(length)
-    j_m2[0] = -row[1]  # J_{-1}
-    if length > 1:
-        j_m2[1] = row[0]
-        j_m2[2:] = row[1 : length - 1]
-    d1 = 0.5 * (j_m1 - j_p1)
-    d2 = 0.25 * (j_p2 + j_m2 - 2.0 * j)
-    return {"J": j, "dJ": d1, "ddJ": d2}
-
-
-_KIND_FACTORS = {
-    "JJ": ("J", "J"),
-    "JdJ": ("J", "dJ"),
-    "dJdJ": ("dJ", "dJ"),
-    "JddJ": ("J", "ddJ"),
-    "dJddJ": ("dJ", "ddJ"),
-    "ddJddJ": ("ddJ", "ddJ"),
-}
+def stencil_factors(row: np.ndarray, factors: tuple[str, ...], first: int,
+                    count: int) -> list[np.ndarray]:
+    """Each of ``factors`` (names in :data:`STENCILS`) at the orders
+    first..first+count-1, first >= 0, from a row J_0..J_n with
+    n >= first+count+1; orders below 0 enter as J_{-n} = (-1)^n J_n.
+    A factor named twice is computed once."""
+    signed = np.concatenate(((row[2], -row[1]), row))  # J_{-2}, J_{-1}, J_0, ...
+    made = {}
+    for name in dict.fromkeys(factors):
+        scale, weights = STENCILS[name]
+        total = None
+        for shift, weight in weights:
+            start = first + shift + 2
+            part = signed[start : start + count]
+            part = part if weight == 1 else weight * part
+            total = part if total is None else total + part
+        made[name] = total if scale == 1.0 else scale * total
+    return [made[name] for name in factors]
 
 
 def sum_derivative_series(
     kind: str, a: float, beta: float, r: float, tol: float = 1e-12
 ) -> EvalResult:
     """Direct sum of sum_{l>=1} (l+beta)^a X_l(r) Y_l(r), X,Y in {J, J', J''}."""
-    if kind not in _KIND_FACTORS:
-        raise DomainError(f"unknown kind {kind!r}; expected one of {DERIVATIVE_KINDS}")
+    if kind not in DERIVATIVE_KINDS:
+        raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(DERIVATIVE_KINDS)}")
     if not (math.isfinite(a) and math.isfinite(beta)):
         raise DomainError("a and beta must be finite")
     if beta <= -1.0:
@@ -222,8 +228,7 @@ def sum_derivative_series(
         # the order-(l-2) bound covers every factor: n1 = n2 = -2.
         length = _certified_length(-2, -2, a, beta, r, tol)
     row = bessel_rows(length + 2, np.array([r]))[:, 0]
-    arrays = _derivative_arrays(row, length)
-    xk, yk = _KIND_FACTORS[kind]
+    x, y = stencil_factors(row, DERIVATIVE_KINDS[kind], 1, length)
     l = np.arange(1, length + 1, dtype=float)
-    value, err = _sum_products(arrays[xk], arrays[yk], l + beta, a, tol)
+    value, err = _sum_products(x, y, l + beta, a, tol)
     return EvalResult(value, err, "oracle", length)

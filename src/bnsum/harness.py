@@ -18,11 +18,12 @@ import numpy as np
 from .asymptotics import (
     COR42_PHASE,
     COR62_OSC_TERM,
+    derivative_series_form,
     eval_form,
     leading_integer,
     leading_noninteger,
 )
-from .direct import SeriesSpec, sum_series
+from .direct import DERIVATIVE_KINDS, SeriesSpec, stencil_factors, sum_derivative_series, sum_series
 from .errors import DomainError
 from .kernels import bessel_rows
 from .quadrature import ABS_TOL, REL_TOL, eval_exp2d, eval_hankel, eval_lifted
@@ -150,9 +151,7 @@ def _suite_identities(rep: ValidationReport) -> None:
         row = _neumann_row(r, 4)
         ln = row.size - 2
         j = row[:ln]
-        d1 = np.empty(ln)
-        d1[0] = -row[1]
-        d1[1:] = 0.5 * (row[: ln - 1] - row[2 : ln + 1])
+        (d1,) = stencil_factors(row, ("dJ",), 0, ln)
         eps = np.full(ln, 2.0)
         eps[0] = 1.0
         l = np.arange(ln, dtype=float)
@@ -284,6 +283,24 @@ def resolve_cor62_osc() -> tuple[str, float]:
     })
 
 
+def derivative_decay(kind: str, a: float, beta: float) -> float:
+    """How r^min(-a, 2) |S - form| shrinks from r = 100 to r = 800, a <= -1.
+
+    S is the derivative series of ``kind`` by the oracle and form its
+    ``derivative_series_form``; the ratio is of the maxima over 16 samples
+    in [r0, 1.05 r0] at r0 = 800 and at r0 = 100.  A form that misses a term
+    of order r^max(a, -2) or gets its sign wrong leaves a ratio near 1 or
+    above; a right one falls below it where -1 >= a > -2.
+    """
+    form = derivative_series_form(kind, "a=-1" if a == -1.0 else "a<-1", a, beta)
+    power = min(-a, 2.0)
+    env = window_envelope(
+        lambda r: r ** power * (sum_derivative_series(kind, a, beta, r).value
+                                - eval_form(form, r)),
+        np.array([100.0, 800.0]), samples=16)
+    return float(env[1] / env[0])
+
+
 def _suite_asymptotics(rep: ValidationReport) -> None:
     phase, ratio42 = resolve_cor42_phase()
     osc, ratio62 = resolve_cor62_osc()
@@ -328,6 +345,12 @@ def _suite_asymptotics(rep: ValidationReport) -> None:
     ]
     for name, spc, fn, tol in checks:
         rep.add(name, fn(sum_series(spc, r).value), tol, f"leading-term check at r = {r}")
+
+    cases = [(kind, a, beta) for a, beta in ((-1.0, 0.3), (-1.7, 0.2)) for kind in DERIVATIVE_KINDS]
+    ratios = [derivative_decay(*case) for case in cases]
+    worst = max(ratios)
+    rep.add("derivative_forms", worst, 1.0 / 1.5,
+            f"r^-a |S - form| from r = 100 to 800, worst ratio at {cases[ratios.index(worst)]}")
 
 
 def run_suite(suite: str) -> ValidationReport:

@@ -18,9 +18,9 @@ from bnsum.asymptotics import (
     leading_noninteger,
     leading_nonneg,
 )
-from bnsum.direct import SeriesSpec, sum_derivative_series, sum_series
+from bnsum.direct import DERIVATIVE_KINDS, SeriesSpec, sum_derivative_series, sum_series
 from bnsum.errors import DomainError
-from bnsum.harness import run_suite
+from bnsum.harness import derivative_decay, run_suite
 
 
 class TestEvalForm:
@@ -50,7 +50,7 @@ class TestLeadingNoninteger:
     def test_half_zero_orders(self):
         form = leading_noninteger(0.5, 0.0, 0, 0)
         want = math.sqrt(math.pi / 2.0) / math.gamma(0.75) ** 2
-        assert form.terms[0].coeff == pytest.approx(want, rel=1e-14)
+        assert form.terms[0].coeff == pytest.approx(want, rel=1e-14, abs=0)
         assert form.gamma_err == 1.5
 
     def test_reflection_through_pole(self):
@@ -143,18 +143,19 @@ class TestLeadingNonneg:
 class TestDerivativeForms:
     def test_dJdJ_a_zero(self):
         form = derivative_series_form("dJdJ", "a>-1", 0.0, 0.0)
-        assert form.terms[0].coeff == pytest.approx(0.25, rel=1e-13)
+        assert form.terms[0].coeff == pytest.approx(0.25, rel=1e-13, abs=0)
 
     def test_JdJ_positive_regime_vanishes(self):
         assert derivative_series_form("JdJ", "a>-1", 0.3, 0.7).terms == ()
 
     def test_JJ_a_minus_one(self):
-        # (log(2r) + gamma)/(pi r) at beta = 0
+        # (log(2r) + gamma - ln 2 sin 2r)/(pi r) at beta = 0
         form = derivative_series_form("JJ", "a=-1", -1.0, 0.0)
         r = 55.0
         gamma_e = 0.5772156649015329
         assert eval_form(form, r) == pytest.approx(
-            (math.log(2.0 * r) + gamma_e) / (math.pi * r), rel=1e-12
+            (math.log(2.0 * r) + gamma_e - math.log(2.0) * math.sin(2.0 * r)) / (math.pi * r),
+            rel=1e-12,
         )
 
     def test_regime_mismatch(self):
@@ -184,6 +185,16 @@ class TestDerivativeForms:
 
             env = window_envelope(resid, anchors, ratio=1.6, samples=48)
             assert np.all(np.diff(env) < 0.0)
+
+    @pytest.mark.parametrize("a, beta", [(-1.0, 0.3), (-1.0, -0.6), (-1.7, 0.2), (-3.0, 0.0)])
+    @pytest.mark.parametrize("kind", DERIVATIVE_KINDS)
+    def test_residual_order(self, kind, a, beta):
+        # r^min(-a, 2) |S - form| falls from r = 100 to 800 where the form
+        # carries every term down to r^max(a, -2), and stays flat at a = -3,
+        # whose error is O(r^-2); a missing or wrong-signed term of order
+        # r^a holds the ratio near 1 or above
+        ratio = derivative_decay(kind, a, beta)
+        assert ratio <= (1.5 if a <= -2.0 else 1.0 / 1.5), ratio
 
 
 def _snapshot(root: Path) -> dict:
