@@ -36,7 +36,7 @@ SPEC = SeriesSpec(A, BETA, 0, 0)
 # (name, call, extra orders of the row past the certified length)
 CASES = (
     ("sum_series", lambda r: sum_series(SPEC, r, TOL), 0),
-    ("sum_derivative_series dJdJ", lambda r: sum_derivative_series("dJdJ", A, BETA, r, TOL), 2),
+    ("sum_derivative_series dJdJ", lambda r: sum_derivative_series("dJdJ", A, BETA, r, TOL), 1),
 )
 
 

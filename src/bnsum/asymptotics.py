@@ -19,7 +19,7 @@ fails if the fit disagrees with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .direct import DERIVATIVE_KINDS, STENCILS
 from .errors import DomainError
@@ -62,7 +62,6 @@ class AsymptoticForm:
     # error O(r^{-gamma_err}); strict means the little-o claim o(r^{-gamma_err})
     gamma_err: float = math.inf
     strict: bool = False
-    notes: str = field(default="", compare=False)
 
 
 def eval_form(form: AsymptoticForm, r: float) -> float:
@@ -80,14 +79,6 @@ def eval_form(form: AsymptoticForm, r: float) -> float:
             osc = math.cos(2.0 * r + t.phase)
         total += t.coeff * r ** (-t.power) * osc
     return total
-
-
-def _canonical_orders(m: int, m_prime: int) -> tuple[int, int]:
-    if m < 0 or m_prime < 0:
-        raise DomainError("m, m_prime must be >= 0")
-    mu = m + m_prime
-    nu = abs(m - m_prime)
-    return mu, nu
 
 
 def _cos_half_pi(nu: int) -> float:
@@ -176,7 +167,7 @@ def leading_noninteger(
         raise DomainError("leading_noninteger requires non-integer alpha > 0")
     if beta <= -1.0:
         raise DomainError("beta must be > -1")
-    return _base_form(-alpha, beta, *_canonical_orders(m, m_prime),
+    return _base_form(-alpha, beta, m + m_prime, abs(m - m_prime),
                       phase_convention=phase_convention)
 
 
@@ -208,10 +199,9 @@ def leading_integer(
         raise DomainError("leading_integer requires integer alpha >= 1")
     if beta <= -1.0:
         raise DomainError("beta must be > -1")
-    mu, nu = _canonical_orders(m, m_prime)
     if osc_term not in ("present", "absent"):
         raise DomainError("osc_term must be 'present' or 'absent'")
-    return _base_form(-float(alpha), beta, mu, nu, osc_term=osc_term)
+    return _base_form(-float(alpha), beta, m + m_prime, abs(m - m_prime), osc_term=osc_term)
 
 
 def leading_nonneg(a: float, m: int, m_prime: int) -> AsymptoticForm:
@@ -224,7 +214,7 @@ def leading_nonneg(a: float, m: int, m_prime: int) -> AsymptoticForm:
     """
     if a < 0.0:
         raise DomainError("leading_nonneg requires a >= 0")
-    return _base_form(a, 0.0, *_canonical_orders(m, m_prime), one_over_r=False)
+    return _base_form(a, 0.0, m + m_prime, abs(m - m_prime), one_over_r=False)
 
 
 _REGIMES = ("a>-1", "a=-1", "a<-1")

@@ -12,6 +12,7 @@ at r = 10^5, for tol = 1e-12.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ STENCILS = {
     "dJ": (0.5, ((-1, 1), (1, -1))),
     "ddJ": (0.25, ((2, 1), (-2, 1), (0, -2))),
 }
+_REACH = {name: (min(s for s, _ in w), max(s for s, _ in w))  # lowest and highest shift
+          for name, (_, w) in STENCILS.items()}
 # the factors X, Y of each kind of sum_{l>=1} (l+beta)^a X_l(r) Y_l(r)
 DERIVATIVE_KINDS = {
     "JJ": ("J", "J"),
@@ -45,8 +48,8 @@ DERIVATIVE_KINDS = {
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """The series sum_{l>=1} J_{l+m'}(r) J_{l+m}(r) (l+beta)^a, symmetric in m
-    and m'; ``quadrature._lower`` gives the orders of its integral forms."""
+    """The series sum_{l>=1} J_{l+m'}(r) J_{l+m}(r) (l+beta)^a, m and m' any
+    integers, symmetric in them; ``quadrature._lower`` gives its integral forms."""
 
     a: float
     beta: float
@@ -58,8 +61,11 @@ class SeriesSpec:
             raise DomainError("SeriesSpec requires finite a and beta")
         if self.beta <= -1.0:
             raise DomainError("SeriesSpec requires beta > -1")
-        if self.m < 0 or self.m_prime < 0:
-            raise DomainError("SeriesSpec requires m, m_prime >= 0")
+        try:
+            for name in ("m", "m_prime"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise DomainError("SeriesSpec requires integer m and m_prime") from None
 
 
 @dataclass(frozen=True)
@@ -89,11 +95,12 @@ def _sum_products(x: np.ndarray, y: np.ndarray, base: np.ndarray, a: float,
     with np.errstate(over="ignore", invalid="ignore"):
         weight = base ** a
         terms = x * y * weight
-        value = float(np.sum(terms))
+        # ndarray.sum is np.sum without its dispatch, a few us per oracle call
+        value = float(terms.sum())
         err = (
             tol
-            + 1e-15 * float(np.sum(np.abs(terms)))
-            + _BESSEL_ABS_ERR * float(np.sum((np.abs(x) + np.abs(y)) * weight))
+            + 1e-15 * float(np.abs(terms).sum())
+            + _BESSEL_ABS_ERR * float(((np.abs(x) + np.abs(y)) * weight).sum())
         )
     if not (math.isfinite(value) and math.isfinite(err)):
         raise ToleranceError("oracle sum is not finite in double precision")
@@ -168,43 +175,52 @@ def _certified_length(n1: int, n2: int, a: float, beta: float, r: float, tol: fl
     return l - 1
 
 
-def sum_series(spec: SeriesSpec, r: float, tol: float = 1e-12) -> EvalResult:
-    """Direct sum of the series with a certified absolute tail bound <= tol."""
+def _oracle(factors: tuple[str, str], offsets: tuple[int, int], a: float,
+            beta: float, r: float, tol: float) -> EvalResult:
+    """sum_{l>=1} (l+beta)^a X_l Y_l, X and Y the ``factors`` of :data:`STENCILS`
+    at order l plus their ``offsets``.  Each stencil's weights have total size
+    1 and Kapteyn's bound falls with the order past r, so the bound at its
+    lowest order covers it.  At r = 0, J_n(0) = delta_{n0} ends the sum at the
+    last term whose factors both reach an order <= 0: no tail is left."""
     check_inputs(r, tol)
+    (ox, oy), (lx, hx), (ly, hy) = offsets, _REACH[factors[0]], _REACH[factors[1]]
+    lows = ox + lx, oy + ly
     if r == 0.0:
-        return EvalResult(0.0, 0.0, "oracle", 0)
-    length = _certified_length(spec.m, spec.m_prime, spec.a, spec.beta, r, tol)
-    nmax = length + max(spec.m, spec.m_prime)
-    row = bessel_rows(nmax, np.array([r]))[:, 0]
-    l = np.arange(1, length + 1, dtype=float)
-    value, err = _sum_products(
-        row[1 + spec.m_prime : length + 1 + spec.m_prime],
-        row[1 + spec.m : length + 1 + spec.m],
-        l + spec.beta,
-        spec.a,
-        tol,
-    )
+        length, tol = max(0, -max(lows)), 0.0
+    else:
+        length = _certified_length(*lows, a, beta, r, tol)
+    row = bessel_rows(max(length + max(ox + hx, oy + hy), -1 - min(lows)), np.array([r]))[:, 0]
+    x, y = stencil_factors(row, factors, (ox + 1, oy + 1), length)
+    value, err = _sum_products(x, y, np.arange(1.0, length + 1) + beta, a, tol)
     return EvalResult(value, err, "oracle", length)
 
 
-def stencil_factors(row: np.ndarray, factors: tuple[str, ...], first: int,
+def sum_series(spec: SeriesSpec, r: float, tol: float = 1e-12) -> EvalResult:
+    """Direct sum of the series with a certified absolute tail bound <= tol."""
+    return _oracle(("J", "J"), (spec.m_prime, spec.m), spec.a, spec.beta, r, tol)
+
+
+def stencil_factors(row: np.ndarray, factors: tuple[str, ...], starts: tuple[int, ...],
                     count: int) -> list[np.ndarray]:
     """Each of ``factors`` (names in :data:`STENCILS`) at the orders
-    first..first+count-1, first >= 0, from a row J_0..J_n with
-    n >= first+count+1; orders below 0 enter as J_{-n} = (-1)^n J_n.
-    A factor named twice is computed once."""
-    signed = np.concatenate(((row[2], -row[1]), row))  # J_{-2}, J_{-1}, J_0, ...
+    start..start+count-1, one start per factor, from a row J_0..J_n that
+    reaches every order read; an order below 0 enters as J_{-n} = (-1)^n J_n.
+    A factor named twice at one start is computed once."""
+    keys = list(zip(factors, starts))
+    depth = max(0, -min([start + _REACH[name][0] for name, start in keys]))
+    if depth:  # J_{-depth}, ..., J_{-1}, J_0, ...
+        row = np.concatenate(([(-1.0) ** n * row[n] for n in range(depth, 0, -1)], row))
     made = {}
-    for name in dict.fromkeys(factors):
+    for name, start in dict.fromkeys(keys):
         scale, weights = STENCILS[name]
         total = None
         for shift, weight in weights:
-            start = first + shift + 2
-            part = signed[start : start + count]
+            begin = start + shift + depth
+            part = row[begin : begin + count]
             part = part if weight == 1 else weight * part
             total = part if total is None else total + part
-        made[name] = total if scale == 1.0 else scale * total
-    return [made[name] for name in factors]
+        made[name, start] = total if scale == 1.0 else scale * total
+    return [made[key] for key in keys]
 
 
 def sum_derivative_series(
@@ -213,22 +229,6 @@ def sum_derivative_series(
     """Direct sum of sum_{l>=1} (l+beta)^a X_l(r) Y_l(r), X,Y in {J, J', J''}."""
     if kind not in DERIVATIVE_KINDS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(DERIVATIVE_KINDS)}")
-    if not (math.isfinite(a) and math.isfinite(beta)):
-        raise DomainError("a and beta must be finite")
-    if beta <= -1.0:
-        raise DomainError("beta must be > -1")
-    check_inputs(r, tol)
-    if r == 0.0:
-        # the row is 1, 0, 0, ...: J'_1(0) = 1/2 and J''_2(0) = 1/4 are the
-        # only nonzero factors
-        length = 2
-    else:
-        # J'_l and J''_l are sums of J at orders l-2..l+2 with weights of
-        # total size 1, and Kapteyn's bound falls with the order past r, so
-        # the order-(l-2) bound covers every factor: n1 = n2 = -2.
-        length = _certified_length(-2, -2, a, beta, r, tol)
-    row = bessel_rows(length + 2, np.array([r]))[:, 0]
-    x, y = stencil_factors(row, DERIVATIVE_KINDS[kind], 1, length)
-    l = np.arange(1, length + 1, dtype=float)
-    value, err = _sum_products(x, y, l + beta, a, tol)
-    return EvalResult(value, err, "oracle", length)
+    if not (math.isfinite(a) and -1.0 < beta < math.inf):
+        raise DomainError("sum_derivative_series requires finite a and finite beta > -1")
+    return _oracle(DERIVATIVE_KINDS[kind], (0, 0), a, beta, r, tol)

@@ -151,7 +151,7 @@ def _suite_identities(rep: ValidationReport) -> None:
         row = _neumann_row(r, 4)
         ln = row.size - 2
         j = row[:ln]
-        (d1,) = stencil_factors(row, ("dJ",), 0, ln)
+        (d1,) = stencil_factors(row, ("dJ",), (0,), ln)
         eps = np.full(ln, 2.0)
         eps[0] = 1.0
         l = np.arange(ln, dtype=float)
@@ -191,7 +191,7 @@ def _suite_identities(rep: ValidationReport) -> None:
 # --- representations suite ------------------------------------------------
 
 _REP_BETAS = (0.0, 0.5, 1.0)
-_REP_ORDERS = ((0, 0), (1, 0), (2, 1))
+_REP_ORDERS = ((0, 0), (1, 0), (2, 1), (-2, 1))
 
 
 def _worst_vs_oracle(route, grid, floor: float):

@@ -25,12 +25,13 @@ at eps, or at -eps on the mirror half: no route forms phi.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
-from .direct import EvalResult, SeriesSpec, check_inputs
+from .direct import EvalResult, SeriesSpec, check_inputs, sum_series
 from .errors import ConvergenceError, DomainError
 from .fseries import f_phase
 from .kernels import bessel_j_col
@@ -186,6 +187,11 @@ def _single(results: list[EvalResult | None], tag: str) -> EvalResult:
     return results[0]
 
 
+def _at_zero(spec: SeriesSpec, tag: str) -> EvalResult:
+    """The oracle's exact value at r = 0: (beta - m)^a at m = m' < 0, else 0."""
+    return dataclasses.replace(sum_series(spec, 0.0), method=tag, work=0)
+
+
 def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
             rel_tol: float, tag: str) -> list[EvalResult | None]:
     """``spec``'s series at each r of ``rs`` by its Hankel form, ``None`` where it does
@@ -195,10 +201,11 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
         check_inputs(r, abs_tol, rel_tol)
     positive = [i for i, r in enumerate(rs) if r > 0.0]
     # r enters the lowering only for a >= 0, where eval_lifted passes one r;
-    # at r = 0 it could run all floor(a) + 1 steps for the exact 0
+    # at r = 0 it could run all floor(a) + 1 steps for what the oracle sums exactly
     alpha, terms = _lower(spec, rs[0]) if positive else (0.0, [])
+    zero = _at_zero(spec, tag) if len(positive) < len(rs) or not terms else None
     if not terms:  # r = 0 only, or every lowered coefficient underflowed to 0
-        return [EvalResult(0.0, 0.0, tag, 0) for _ in rs]
+        return [zero] * len(rs)
     if not all(math.isfinite(c) for c, *_ in terms):
         raise ConvergenceError(f"{tag} lowering overflowed: a coefficient at a = {spec.a:g} "
                                "is not finite")
@@ -213,7 +220,7 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
 
     found = iter(_converge(evaluate, len(positive), abs_tol, rel_tol,
                            16 * _MAX_PANELS * len(terms), tag))
-    return [next(found) if r > 0.0 else EvalResult(0.0, 0.0, tag, 0) for r in rs]
+    return [next(found) if r > 0.0 else zero for r in rs]
 
 
 def eval_hankel(spec: SeriesSpec, r: float, *, use_parity: bool = True,
@@ -279,7 +286,7 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
         raise DomainError("eval_exp2d requires a < 0")
     check_inputs(r, abs_tol, rel_tol)
     if r == 0.0:
-        return EvalResult(0.0, 0.0, "exp2d", 0)
+        return _at_zero(spec, "exp2d")
     alpha, ((_, mu, nu),) = _lower(spec, r)
     prefactor = 2.0 * (1j) ** (-mu) / math.pi ** 2
 
@@ -314,7 +321,7 @@ def eval_lifted(spec: SeriesSpec, r: float, *,
 
     The lifted series is a combination of Hankel integrands, integrated as
     one quadrature; ``work`` counts its (term, node) products.  At r = 0 it is
-    the exact 0, as on the Hankel route.
+    the oracle's exact value, as on the Hankel route.
     """
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")

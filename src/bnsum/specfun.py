@@ -359,14 +359,14 @@ def lerch_unit(phi: float, alpha: float, v: float) -> complex:
     return complex(lerch_unit_many(np.array([math.pi / 2.0 - phi]), alpha, v)[0])
 
 
-def lerch_unit_series(phi: float, alpha: float, v: float, terms: int = 6000) -> complex:
+def lerch_unit_series(phi: float, alpha: float, v: float) -> complex:
     """Cross-check route: epsilon-accelerated partial sums of the defining series."""
     if not abs(phi) < math.inf:
         raise DomainError("lerch_unit_series requires a finite phi")
     if not (alpha > 0.0 and v > 0.0):
         raise DomainError("lerch_unit_series requires alpha > 0 and v > 0")
     z = -np.exp(2j * phi)
-    n = np.arange(terms)
+    n = np.arange(6000)  # Wynn's epsilon reads the last 48 partial sums
     a_n = z ** n / (v + n) ** alpha
     partial = np.cumsum(a_n)
     return _wynn_epsilon(partial[-48:])

@@ -20,7 +20,7 @@ from bnsum.asymptotics import (
 )
 from bnsum.direct import DERIVATIVE_KINDS, SeriesSpec, sum_derivative_series, sum_series
 from bnsum.errors import DomainError
-from bnsum.harness import derivative_decay, run_suite
+from bnsum.harness import derivative_decay, run_suite, window_envelope
 
 
 class TestEvalForm:
@@ -195,6 +195,31 @@ class TestDerivativeForms:
         # r^a holds the ratio near 1 or above
         ratio = derivative_decay(kind, a, beta)
         assert ratio <= (1.5 if a <= -2.0 else 1.0 / 1.5), ratio
+
+
+class TestNegativeOrders:
+    @pytest.mark.parametrize("make, a, beta, m, mp", [
+        (leading_noninteger, -1.5, 0.3, -2, 1),
+        (leading_noninteger, -0.5, 0.0, -1, 0),
+        (leading_integer, -1.0, 0.2, -2, 1),
+        (leading_integer, -1.0, 0.0, -1, -1),
+        (leading_integer, -2.0, 0.3, -3, -1),
+        (leading_nonneg, 1.0, 0.0, -1, 0),
+        (leading_nonneg, 2.0, 0.0, -1, -1),
+        (leading_nonneg, 1.5, 0.0, -3, 1),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_error_order_holds(self, make, a, beta, m, mp):
+        # mu = m + m' enters signed and nu = |m - m'|: r^gamma_err |S - form|
+        # does not grow from r = 200 to 1600, as at m, m' >= 0
+        if make is leading_nonneg:
+            form = make(a, m, mp)
+        else:
+            form = make(int(-a) if make is leading_integer else -a, beta, m, mp)
+        spec = SeriesSpec(a, beta, m, mp)
+        env = window_envelope(
+            lambda r: r ** form.gamma_err * (sum_series(spec, r).value - eval_form(form, r)),
+            np.array([200.0, 1600.0]), samples=16)
+        assert env[1] <= 1.1 * env[0], env
 
 
 def _snapshot(root: Path) -> dict:

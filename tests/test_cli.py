@@ -53,6 +53,16 @@ class TestEval:
             json.loads(out_o)["value"], abs=1e-8
         )
 
+    def test_negative_order(self, capsys):
+        # m, m' are any integers: "--m -1" is an order, not a flag
+        args = ["--a", "-0.5", "--beta", "0", "--m", "-1", "--mprime", "0", "--r", "7"]
+        code, out_h, _ = run(capsys, "eval", *args, "--method", "hankel")
+        assert code == 0
+        _, out_o, _ = run(capsys, "eval", *args, "--method", "oracle")
+        assert json.loads(out_h)["value"] == pytest.approx(
+            json.loads(out_o)["value"], rel=1e-12, abs=0
+        )
+
     def test_auto_picks_oracle_then_asym(self, capsys):
         base = ["--a", "-1", "--beta", "0", "--m", "0", "--mprime", "0"]
         _, out1, _ = run(capsys, "eval", *base, "--r", "10")
@@ -293,6 +303,11 @@ class TestAsym:
         assert obj["gamma_err"] == 1.5
         powers = {t["power"] for t in obj["terms"]}
         assert powers == {0.5, 1.0}
+
+    def test_negative_orders(self, capsys):
+        code, out, _ = run(capsys, "asym", "--a", "-1.5", "--beta", "0.3", "--m", "-2",
+                           "--mprime", "1", "--r", "400")
+        assert code == 0 and math.isfinite(json.loads(out)["value"])
 
     @pytest.mark.parametrize("command", [("asym",), ("eval", "--method", "asym")])
     def test_r_zero_exit_2(self, capsys, command):

@@ -214,8 +214,12 @@ class TestSeriesSpec:
     def test_domain(self):
         with pytest.raises(DomainError):
             SeriesSpec(0.0, -1.0, 0, 0)
-        with pytest.raises(DomainError):
-            SeriesSpec(0.0, 0.0, -1, 0)
+        # an order is any integer; a float one, even 1.0, is refused
+        for m, mp in ((1.5, 0), (0, 1.0), (0, "1")):
+            with pytest.raises(DomainError):
+                SeriesSpec(-0.5, 0.0, m, mp)
+        spec = SeriesSpec(-0.5, 0.0, np.int64(-2), np.int32(1))
+        assert (spec.m, spec.m_prime) == (-2, 1) and type(spec.m) is int
 
 
 class TestSumSeries:
@@ -292,19 +296,19 @@ class TestSumSeries:
     def test_certified_tail_below_tol(self, derivative):
         # the tail past the certified length, summed from a row twice as long
         rng = np.random.default_rng(28 + derivative)
-        for _ in range(40):
+        lowest = {"J": 0, "dJ": -1, "ddJ": -2}  # J'_l and J''_l reach down to l-1, l-2
+        for i in range(40):
             a, beta = rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 2.0)
-            m, mp = (int(v) for v in rng.integers(0, 4, 2))
+            m, mp = (int(v) for v in rng.integers(-3, 4, 2))
             r, tol = rng.uniform(0.5, 2000.0), float(rng.choice([1e-8, 1e-12]))
             if derivative:
-                length = _certified_length(-2, -2, a, beta, r, tol)
-                j, d1, d2 = stencil_factors(bessel_rows(2 * length + 2, np.array([r]))[:, 0],
-                                            ("J", "dJ", "ddJ"), 1, 2 * length)
-                factor = np.maximum(np.maximum(np.abs(j), np.abs(d1)), np.abs(d2))
-                x = y = factor[length:]
+                fx, fy = list(DERIVATIVE_KINDS.values())[i % 6]
+                length = _certified_length(lowest[fx], lowest[fy], a, beta, r, tol)
+                x, y = stencil_factors(bessel_rows(2 * length + 2, np.array([r]))[:, 0],
+                                       (fx, fy), (length + 1, length + 1), length)
             else:
                 length = _certified_length(m, mp, a, beta, r, tol)
-                row = bessel_rows(2 * length + max(m, mp), np.array([r]))[:, 0]
+                row = bessel_rows(2 * length + max(m, mp, 0), np.array([r]))[:, 0]
                 x = row[length + 1 + mp: 2 * length + 1 + mp]
                 y = row[length + 1 + m: 2 * length + 1 + m]
             l = np.arange(length + 1, 2 * length + 1)

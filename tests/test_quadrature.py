@@ -530,3 +530,43 @@ class TestLifted:
                     * mpmath.cos((p + q) * phi), [0, mpmath.pi / 2, mpmath.pi])
                 want = mpmath.besselj(p, r) * mpmath.besselj(q, r)
                 assert abs((-1) ** q * integral / mpmath.pi - want) < 1e-15
+
+
+class TestNegativeOrders:
+    """m, m' in Z: Neumann's formula with J_{-n} = (-1)^n J_n holds at every
+    integer order, so every route takes negative orders as they are."""
+
+    @pytest.mark.parametrize("case", [
+        (-0.5, 0.0, -1, 0, 7.0), (-1.5, 0.3, -2, 1, 12.0), (-0.7, 0.0, -3, -1, 20.0),
+        (-2.5, 0.5, 0, -4, 15.0), (-1.0, 0.2, -2, -2, 6.0), (1.6, 0.3, -2, 0, 9.0),
+        (0.5, 0.1, -3, -3, 4.0),
+    ])
+    def test_against_mpmath(self, case):
+        a, beta, m, mp, r = case
+        with mpmath.workdps(30):
+            want = float(mpmath.fsum(
+                mpmath.besselj(l + mp, r) * mpmath.besselj(l + m, r) * (l + mpmath.mpf(beta)) ** a
+                for l in range(1, int(1.36 * r) + 80)))
+        spec = SeriesSpec(a, beta, m, mp)
+        routes = [sum_series]
+        if a < 0.0:
+            routes += [eval_hankel, eval_exp2d, lambda s, x: eval_hankel_grid(s, [x])[0]]
+        else:
+            routes.append(eval_lifted)
+        for route in routes:
+            assert route(spec, r).value == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a", [-1.3, 0.0, 0.7, 2.0])
+    def test_r_zero(self, a):
+        # J_n(0) = delta_{n0}: only the term l = 2 of m = m' = -2 is left
+        spec = SeriesSpec(a, 0.25, -2, -2)
+        want = 2.25 ** a
+        results = [sum_series(spec, 0.0)]
+        if a < 0.0:
+            results += [eval_hankel(spec, 0.0), eval_exp2d(spec, 0.0),
+                        *eval_hankel_grid(spec, [0.0, 3.0, 0.0])[::2]]
+        else:
+            results.append(eval_lifted(spec, 0.0))
+        for res in results:
+            assert res.value == pytest.approx(want, rel=1e-15, abs=0)
+            assert res.work == (2 if res.method == "oracle" else 0)
