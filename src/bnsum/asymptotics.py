@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .direct import DERIVATIVE_KINDS, STENCILS
+from .direct import DERIVATIVE_KINDS, STENCILS, SeriesSpec
 from .errors import DomainError
 from .specfun import (
     digamma,
@@ -66,8 +66,8 @@ class AsymptoticForm:
 
 def eval_form(form: AsymptoticForm, r: float) -> float:
     """Sum of coeff * r^{-power} * osc(r) over the form's terms."""
-    if r <= 0.0:
-        raise DomainError("eval_form requires r > 0")
+    if not 0.0 < r < math.inf:
+        raise DomainError("eval_form requires finite r > 0")
     total = 0.0
     for t in form.terms:
         osc = 1.0
@@ -163,10 +163,9 @@ def leading_noninteger(
     ``reciprocal_gamma`` so the leading coefficient vanishes continuously at
     denominator poles.
     """
+    SeriesSpec(-alpha, beta, m, m_prime)  # checks a, beta and the orders
     if alpha <= 0.0 or alpha == math.floor(alpha):
         raise DomainError("leading_noninteger requires non-integer alpha > 0")
-    if beta <= -1.0:
-        raise DomainError("beta must be > -1")
     return _base_form(-alpha, beta, m + m_prime, abs(m - m_prime),
                       phase_convention=phase_convention)
 
@@ -195,10 +194,9 @@ def leading_integer(
     ``osc_term='absent'`` drops the oscillatory term (the alternative reading
     of the conflicting source displays; see :data:`COR62_OSC_TERM`).
     """
-    if not (isinstance(alpha, int) or alpha == math.floor(alpha)) or alpha < 1:
+    SeriesSpec(-alpha, beta, m, m_prime)  # checks a, beta and the orders
+    if alpha != math.floor(alpha) or alpha < 1:
         raise DomainError("leading_integer requires integer alpha >= 1")
-    if beta <= -1.0:
-        raise DomainError("beta must be > -1")
     if osc_term not in ("present", "absent"):
         raise DomainError("osc_term must be 'present' or 'absent'")
     return _base_form(-float(alpha), beta, m + m_prime, abs(m - m_prime), osc_term=osc_term)
@@ -212,6 +210,7 @@ def leading_nonneg(a: float, m: int, m_prime: int) -> AsymptoticForm:
     understood as the continuous extension: the coefficient is exactly 0 when
     (-nu+a+2)/2 is a nonpositive integer.
     """
+    SeriesSpec(a, 0.0, m, m_prime)  # checks a and the orders
     if a < 0.0:
         raise DomainError("leading_nonneg requires a >= 0")
     return _base_form(a, 0.0, m + m_prime, abs(m - m_prime), one_over_r=False)
@@ -235,10 +234,9 @@ def derivative_series_form(kind: str, regime: str, a: float, beta: float) -> Asy
     (mu mod 4, nu) first, so a group that cancels analytically is exactly 0,
     and each coefficient is an exactly rounded sum over the groups.
     """
+    SeriesSpec(a, beta, 0, 0)  # checks a and beta
     if regime not in _REGIMES:
         raise DomainError(f"regime must be one of {_REGIMES}")
-    if beta <= -1.0:
-        raise DomainError("beta must be > -1")
     if regime == "a>-1" and not a > -1.0:
         raise DomainError("regime 'a>-1' requires a > -1")
     if regime == "a=-1" and a != -1.0:

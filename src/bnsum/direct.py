@@ -3,11 +3,9 @@ checked against.
 
 The tail is certified with Kapteyn's bound |J_n(r)| <= exp(-h(n)) for
 n >= r (``kernels.kapteyn``), which also picks the Bessel recurrence's start
-order.  h is convex, so past the turning point the ratio of successive term
-bounds falls with l, and once it is below 1 the remainder from term l on is
-at most the term bound at l over one minus that ratio.  The length is the
-smallest whose remainder is at most tol: about 1.06 r at r = 10^3 and 1.003 r
-at r = 10^5, for tol = 1e-12.
+order.  The length is the smallest whose tail bound is at most tol
+(``_certified_length``): about 1.06 r at r = 10^3 and 1.003 r at r = 10^5,
+for tol = 1e-12.
 """
 from __future__ import annotations
 
@@ -111,68 +109,46 @@ def _certified_length(n1: int, n2: int, a: float, beta: float, r: float, tol: fl
     """Smallest L whose tail past term L is certified <= tol; r > 0.
 
     Term l is at most T(l) = K(l+n1) K(l+n2) (l+beta)^max(a,0), with K
-    Kapteyn's bound, once both orders are >= r.  Past that l, T(l+1) / T(l)
-    is at most rho(l) = exp(-h'(l+n1) - h'(l+n2)) (1 + 1/(l+beta))^max(a,0),
-    which falls with l, so the tail from term l on is at most
-    T(l) / (1 - rho(l)) where rho(l) < 1.
+    Kapteyn's bound, once both orders are >= r.  h is convex, so T(l+1) / T(l)
+    <= rho(l) = exp(-h'(l+n1) - h'(l+n2)) (1 + 1/(l+beta))^max(a,0), and the
+    tail from term l on is at most T(l) / (1 - rho(l)) where rho(l) < 1.  rho
+    does not increase with l, as h' increases and 1 + 1/(l+beta) falls, so
+    that bound at l+1 is at most T(l) rho(l) / (1 - rho(l)): once the test
+    passes at a length it passes at every longer one, and a search from a
+    guess, then a bisection, find the smallest.  Past _HARD_CAP it raises.
     """
     big_a = max(a, 0.0)
     log_r, log_tol = math.log(r), math.log(tol)
-    # the first term the tail may start at: both its orders are >= r, and at
+    # past the shortest length both orders of every term are >= r, and at
     # least five terms are summed, which keeps a tiny r's sum accurate
     # relative to its leading term
-    first = max(6, math.ceil(r) - min(n1, n2))
+    shortest = max(5, math.ceil(r) - min(n1, n2) - 1)
 
-    def bound(x):
-        # log T(x), its slope and log rho(x)
-        h, w = kapteyn(x + n1, r, log_r)
-        if n1 != n2:
-            h2, w2 = kapteyn(x + n2, r, log_r)
-            h, w = h + h2, w + w2
-        else:
-            h, w = 2.0 * h, 2.0 * w
-        if big_a == 0.0:
-            return -h, -w, -w
-        return (big_a * math.log(x + beta) - h, big_a / (x + beta) - w,
-                big_a * math.log1p(1.0 / (x + beta)) - w)
+    def certified(length):  # the tail from term l = length + 1 on is <= tol
+        l = length + 1
+        h, w = kapteyn(l + n1, r, log_r)
+        h2, w2 = (h, w) if n1 == n2 else kapteyn(l + n2, r, log_r)
+        h = h + h2 - big_a * math.log(l + beta)  # -log T(l)
+        w = w + w2 - big_a * math.log1p(1.0 / (l + beta))  # -log rho(l)
+        return w > 0.0 and -h - math.log(-math.expm1(-w)) <= log_tol
 
-    def certified(l):  # the tail from term l on is <= tol
-        log_t, _, log_rho = bound(l)
-        return log_rho < 0.0 and log_t - math.log(-math.expm1(log_rho)) <= log_tol
-
-    # log T is concave.  From a point right of its maximum, Newton on
-    # log T - log tol lands right of the root and stays there; the root of
-    # the tail bound lies right of it, by about log(1/(1 - rho)) / |slope|.
-    # The first point is that root where h(n) ~ (2 sqrt(2) / 3) (n-r)^1.5 / sqrt(r).
-    x = first + (0.53 * max(0.0, big_a * math.log(r + 1.0) - log_tol)) ** (2.0 / 3.0) \
-        * r ** (1.0 / 3.0)
-    while True:
-        if not x < _HARD_CAP:  # NaN too
+    # The guess is where the term bound alone falls to tol, h(n) ~ (2 sqrt(2) / 3) (n-r)^1.5 /
+    # sqrt(r), within 2 of L at r in [50, 1000].  Steps of 1, 2, 4, ... go up from it while
+    # the test fails, then down while it passes: lengths <= lo fail, and hi passes.
+    width = (0.53 * max(0.0, big_a * math.log(r + 1.0) - log_tol)) ** (2.0 / 3.0) * r ** (1.0 / 3.0)
+    lo, hi, step = shortest - 1, math.ceil(min(_HARD_CAP, shortest + width)), 1
+    while hi < shortest or not certified(hi):  # hi < shortest: shortest is past the cap
+        if hi >= _HARD_CAP:
             raise ToleranceError(f"cannot certify tol={tol} within {_HARD_CAP} terms")
-        log_t, slope, log_rho = bound(x)
-        if slope < 0.0:
-            break
-        x = first + 1.0 + 2.0 * (x - first)  # left of the maximum
-    for _ in range(50):
-        step = (log_t - log_tol) / slope
-        if abs(step) < 0.5:
-            x += math.log(-math.expm1(log_rho)) / slope
-            break
-        if x - step <= first:  # every term bound from the first on is below tol
-            x = first
-            break
-        x -= step
-        log_t, slope, log_rho = bound(x)
-        if slope >= 0.0:  # so is every term bound up to the maximum
-            break
-    l = math.ceil(x)
-    while not certified(l):
-        l += 1
-        if l > _HARD_CAP:
-            raise ToleranceError(f"cannot certify tol={tol} within {_HARD_CAP} terms")
-    while l > first and certified(l - 1):
-        l -= 1
-    return l - 1
+        lo, hi, step = hi, min(_HARD_CAP, hi + step), 2 * step
+    step = 1
+    while hi - step > lo and certified(hi - step):
+        hi, step = hi - step, 2 * step
+    lo = max(lo, hi - step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+    return hi
 
 
 def _oracle(factors: tuple[str, str], offsets: tuple[int, int], a: float,
@@ -229,6 +205,5 @@ def sum_derivative_series(
     """Direct sum of sum_{l>=1} (l+beta)^a X_l(r) Y_l(r), X,Y in {J, J', J''}."""
     if kind not in DERIVATIVE_KINDS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(DERIVATIVE_KINDS)}")
-    if not (math.isfinite(a) and -1.0 < beta < math.inf):
-        raise DomainError("sum_derivative_series requires finite a and finite beta > -1")
+    SeriesSpec(a, beta, 0, 0)  # checks a and beta
     return _oracle(DERIVATIVE_KINDS[kind], (0, 0), a, beta, r, tol)

@@ -7,18 +7,21 @@ recurrence is unstable for order > argument) and is normalized with
 ``|J_n(r)| <= exp(-h(n))`` (``kapteyn``) has fallen far enough past the
 turning point ``l ~ r`` and past ``nmax``: the smallest order ``M`` with
 ``h(M) >= max(38, h(max(nmax, ceil r)) + 20)``: 156 at r = 100 for nmax 128.
-Below ``_TINY_R`` it overflows; ``bessel_rows`` fills such a column itself
-with the power series' leading term ``(r/2)^n / n!`` (1, 0, 0, ... at 0).
+Below ``_TINY_R`` it overflows; such a column takes the power series'
+leading term ``(r/2)^n / n!`` (``_leading_terms``) instead.
 
 Two kernels with one signature, ``kernel(nmax, rs) -> rows``, run the
-recurrence on the other columns: the per-argument loop ``_rows_kernel`` for
-calls of at most ``_LOOP_MAX_COLUMNS`` of them, the numpy kernel
-``_rows_numpy``, vectorized across arguments, for more.  Both start each
-column at the start order of its own argument (``_start_order`` in the
-loop, its vector form ``_start_orders`` in the numpy kernel, equal integer
-for integer) and do the same arithmetic, so a column depends on its
-argument alone: whatever else a call holds and whichever kernel runs it, it
-is bit for bit the column of a one-argument call.
+recurrence: the per-argument loop ``_rows_kernel`` for calls of at most
+``_LOOP_MAX_COLUMNS`` arguments, the numpy kernel ``_rows_numpy``,
+vectorized across arguments, for more.  The loop also rejects a negative,
+NaN or infinite argument and hands a tiny one to ``_leading_terms``, so a
+call of few arguments pays no numpy reduction; a larger call checks and
+splits its arguments with numpy.  Both kernels start each column at the
+start order of its own argument (``_start_order`` in the loop, its vector form
+``_start_orders`` in the numpy kernel, equal integer for integer) and do the
+same arithmetic, so a column depends on its argument alone: whatever else a
+call holds and whichever kernel runs it, it is bit for bit the column of a
+one-argument call.
 
 The loop runs on Python floats, which do the same IEEE double arithmetic as
 numpy scalars at a fraction of the cost.  It splits at ``nmax``: the orders
@@ -119,9 +122,17 @@ def _start_orders(nmax: int, rs: np.ndarray) -> np.ndarray:
 
 
 def _rows_kernel(nmax: int, rs: np.ndarray) -> np.ndarray:
-    """The recurrence, one column at a time."""
+    """The recurrence, one column at a time; a column below ``_TINY_R`` takes
+    ``_leading_terms`` instead, and a negative, NaN or infinite argument
+    raises ValueError."""
     out = np.zeros((nmax + 1, rs.shape[0]))
+    tiny = []
     for j, r in enumerate(rs.tolist()):
+        if not 0.0 <= r < math.inf:
+            raise ValueError("rs must be finite and >= 0")
+        if r < _TINY_R:
+            tiny.append(j)
+            continue
         m = _start_order(nmax, r)
         jp, jc = 0.0, 1e-300
         norm = 2.0 * jc if m % 2 == 0 else 0.0
@@ -145,6 +156,22 @@ def _rows_kernel(nmax: int, rs: np.ndarray) -> np.ndarray:
         for order in rescales:  # each stored value meets the rescales after it, in order
             col[order:] *= _INV_RESCALE
         col /= norm
+    if tiny:
+        out[:, tiny] = _leading_terms(nmax, rs[tiny])
+    return out
+
+
+def _leading_terms(nmax: int, rs: np.ndarray) -> np.ndarray:
+    """The power series' leading term (r/2)^n / n!, n = 0..nmax, at every
+    argument in ``rs``: 1, 0, 0, ... at r = 0."""
+    out = np.zeros((nmax + 1, rs.size))
+    half, term = 0.5 * rs, np.ones(rs.size)
+    out[0] = term
+    for l in range(1, nmax + 1):
+        term = term * half / l
+        if not term.any():  # and so is every later one
+            break
+        out[l] = term
     return out
 
 
@@ -206,24 +233,20 @@ def bessel_rows(nmax: int, rs: np.ndarray) -> np.ndarray:
         raise ValueError("rs must be one-dimensional")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
+    if rs.size <= _LOOP_MAX_COLUMNS:
+        return _rows_kernel(nmax, rs)
     # a NaN, infinite or negative argument has no start order; cast, it would
     # sort first and stop the recurrence of every column
-    if rs.size and not (rs.min() >= 0.0 and rs.max() < math.inf):
+    if not (rs.min() >= 0.0 and rs.max() < math.inf):
         raise ValueError("rs must be finite and >= 0")
     tiny = rs < _TINY_R
-    regular = rs[~tiny] if tiny.any() else rs
-    kernel = _rows_kernel if regular.size <= _LOOP_MAX_COLUMNS else _rows_numpy
-    if regular is rs:
-        return kernel(nmax, rs)
+    if not tiny.any():
+        return _rows_numpy(nmax, rs)
     out = np.empty((nmax + 1, rs.size))
+    out[:, tiny] = _leading_terms(nmax, rs[tiny])
+    regular = rs[~tiny]
+    kernel = _rows_kernel if regular.size <= _LOOP_MAX_COLUMNS else _rows_numpy
     out[:, ~tiny] = kernel(nmax, regular)
-    # (r/2)^n / n!, which is 1, 0, 0, ... at r = 0
-    half = 0.5 * rs[tiny]
-    term = np.ones(half.size)
-    out[0, tiny] = term
-    for l in range(1, nmax + 1):
-        term = term * half / l
-        out[l, tiny] = term
     return out
 
 

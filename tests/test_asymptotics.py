@@ -46,6 +46,27 @@ class TestEvalForm:
             AsymptoticTerm(1.0, 1.0, osc="wiggle")
 
 
+@pytest.mark.parametrize("make, args", [
+    (leading_noninteger, (math.inf, 0.0, 0, 0)),
+    (leading_noninteger, (math.nan, 0.0, 0, 0)),
+    (leading_noninteger, (0.5, 0.0, 0.5, 0)),
+    (leading_noninteger, (0.5, -1.0, 0, 0)),
+    (leading_integer, (math.inf, 0.0, 0, 0)),
+    (leading_integer, (math.nan, 0.0, 0, 0)),
+    (leading_integer, (1, 0.0, 0, 1.0)),
+    (leading_nonneg, (math.nan, 0, 0)),
+    (leading_nonneg, (1.0, 0.5, 0)),
+    (derivative_series_form, ("JJ", "a<-1", -1.5, math.inf)),
+    (derivative_series_form, ("JJ", "a<-1", -1.5, -1.0)),
+    (eval_form, (AsymptoticForm(), math.nan)),
+    (eval_form, (AsymptoticForm(), math.inf)),
+])
+def test_bad_input_raises_domain_error(make, args):
+    # a, beta and the orders go through SeriesSpec's check, r through eval_form's
+    with pytest.raises(DomainError):
+        make(*args)
+
+
 class TestLeadingNoninteger:
     def test_half_zero_orders(self):
         form = leading_noninteger(0.5, 0.0, 0, 0)

@@ -118,22 +118,24 @@ class TestBesselRows:
         alone = np.concatenate([bessel_rows(nmax, g) for g in groups], axis=1)
         assert np.array_equal(rows, alone)
 
-    def test_kernels_never_see_tiny_arguments(self, monkeypatch):
+    def test_recurrence_never_sees_tiny_arguments(self, monkeypatch):
+        # a column below _TINY_R takes the power series' leading term, in a
+        # call of one argument or of many: no recurrence starts at it
         seen = []
 
-        def recording(kernel):
+        def recording(fn):
             def wrapper(nmax, rs):
-                seen.append((kernel.__name__, rs.copy()))
-                return kernel(nmax, rs)
+                seen.append((fn.__name__, np.atleast_1d(rs).copy()))
+                return fn(nmax, rs)
             return wrapper
 
-        for name in ("_rows_kernel", "_rows_numpy"):
+        for name in ("_start_order", "_start_orders", "_rows_numpy"):
             monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
         tiny = np.array([0.0, 5e-324, 1e-60, 9.9e-51])
         for rs in (tiny[:1], np.concatenate([tiny, [1e-50, 3.0]]),
                    np.concatenate([tiny, np.linspace(0.1, 40.0, 40)]), np.tile(tiny, 10)):
             bessel_rows(12, rs)
-        assert {name for name, _ in seen} == {"_rows_kernel", "_rows_numpy"}
+        assert {name for name, _ in seen} == {"_start_order", "_start_orders", "_rows_numpy"}
         assert all(np.all(rs >= kernels._TINY_R) for _, rs in seen)
 
     def test_zero_argument(self):
@@ -291,6 +293,30 @@ class TestSumSeries:
     def test_reach_under_the_cap(self):
         res = sum_series(SeriesSpec(-0.5, 0.0, 0, 0), 9e5)
         assert math.isfinite(res.value) and res.work < _HARD_CAP
+        assert _certified_length(0, 0, -0.5, 0.0, 9.99e5, 1e-12) == 999_636
+        # the smallest certified length there is 1,000,036 terms
+        with pytest.raises(ToleranceError):
+            _certified_length(0, 0, -0.5, 0.0, 9.994e5, 1e-12)
+
+    def test_certified_length_is_the_smallest(self):
+        # a linear scan of Kapteyn's tail test from the shortest length on
+        rng = np.random.default_rng(40)
+        for _ in range(320):
+            n1, n2 = (int(v) for v in rng.integers(-4, 5, 2))
+            a = rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else rng.uniform(0.0, 60.0)
+            beta = rng.uniform(-1.0, 50.0)
+            r, tol = 10.0 ** rng.uniform(-3.0, 3.5), 10.0 ** rng.uniform(-15.0, 0.5)
+            big_a, log_r = max(a, 0.0), math.log(r)
+            length = max(5, math.ceil(r) - min(n1, n2) - 1)
+            while True:
+                l = length + 1
+                (h1, w1), (h2, w2) = (kernels.kapteyn(l + n, r, log_r) for n in (n1, n2))
+                log_t = big_a * math.log(l + beta) - h1 - h2
+                log_rho = big_a * math.log1p(1.0 / (l + beta)) - w1 - w2
+                if log_rho < 0.0 and log_t - math.log(-math.expm1(log_rho)) <= math.log(tol):
+                    break
+                length += 1
+            assert _certified_length(n1, n2, a, beta, r, tol) == length, (n1, n2, a, beta, r, tol)
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_certified_tail_below_tol(self, derivative):
