@@ -24,9 +24,14 @@ exponents a in {10, 20, 40}, with the number of terms of its lowered
 combination, its work (the combined integrand's (term, node) products summed
 over the levels) and its ``err_est`` next to its distance from the oracle.
 
+Every hankel, exp2d and lifted row also prints its ``err_est`` and whether it
+bounds the row's distance from the oracle, with the oracle's own ``err_est``
+added: ``err_est`` is the quadrature's sum over panels |K33 - G16|, an
+estimate, so this is a check, not a guarantee.
+
 With ``--json PATH`` it also writes every row (route, spec, r, work, warm ms,
-distance from the oracle or, for the grid, from ``eval_hankel``; for lifted
-also the term count) to PATH,
+distance from the oracle or, for the grid, from ``eval_hankel``; ``err_est``
+and ``bounds``; for lifted also the term count) to PATH,
 with an environment block: CPU count, numpy and python versions.
 
 Exits 1 if a Hankel value differs from the oracle (``sum_series`` at tol
@@ -66,8 +71,11 @@ LIFTED_CASES = (tuple((SeriesSpec(a, 0.3, 1, 0), 50.0) for a in (0.5, 1.61, 2.9)
 LIFTED_TOL = 1e-8
 
 
-def oracle(spec: SeriesSpec, r: float) -> float:
-    return sum_series(spec, r, tol=1e-13).value
+def distance(res, spec: SeriesSpec, r: float):
+    """(|res - oracle|, oracle value, whether res.err_est + the oracle's bounds it)."""
+    want = sum_series(spec, r, tol=1e-13)
+    dev = abs(res.value - want.value)
+    return dev, want.value, dev <= res.err_est + want.err_est
 
 
 def best_time(fn, repeats: int):
@@ -102,18 +110,19 @@ def main() -> int:
         for r in EXP2D_RS:
             res, t_exp2d = best_time(lambda: eval_exp2d(spec, r), repeats)
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            dev = abs(res.value - oracle(spec, r))
+            dev, _, bounds = distance(res, spec, r)
             failed |= not dev <= EXP2D_TOL
             _, ((_, mu, nu),) = _lower(spec, r)
             theta = _theta_rule(r, nu, 0)[0].size
-            row("exp2d", spec, r, res.work, t_exp2d * 1e3, dev,
-                theta_nodes=theta, peak_rss_mb=peak_mb)
+            row("exp2d", spec, r, res.work, t_exp2d * 1e3, dev, err_est=res.err_est,
+                bounds=bounds, theta_nodes=theta, peak_rss_mb=peak_mb)
             print(f"exp2d a={spec.a} mu={mu} r={r:g}: {theta} theta nodes, work {res.work}, "
                   f"warm {t_exp2d * 1e3:.0f} ms ({res.work / (t_exp2d * 1e3):.0f} cells/ms), "
-                  f"peak RSS {peak_mb:.0f} MB, |exp2d - oracle| {dev:.1e}")
+                  f"peak RSS {peak_mb:.0f} MB, |exp2d - oracle| {dev:.1e}, "
+                  f"err_est {res.err_est:.1e} ({'bounds' if bounds else 'DOES NOT BOUND'})")
 
     print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'r':>6s} {'work':>7s} "
-          f"{'warm':>9s} {'|hankel - oracle|':>18s}")
+          f"{'warm':>9s} {'|hankel - oracle|':>18s} {'err_est':>9s} bounds")
     for spec in SPECS:
         for r in RS:
             head = f"{spec.a:5.1f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} {r:6g}"
@@ -124,10 +133,11 @@ def main() -> int:
                 row("hankel", spec, r, None, None, None, error=str(exc))
                 print(f"{head} FAIL: {exc}")
                 continue
-            dev = abs(res.value - oracle(spec, r))
+            dev, _, bounds = distance(res, spec, r)
             failed |= not dev <= HANKEL_TOL
-            row("hankel", spec, r, res.work, best * 1e3, dev)
-            print(f"{head} {res.work:7d} {best * 1e3:7.1f}ms {dev:18.1e}")
+            row("hankel", spec, r, res.work, best * 1e3, dev, err_est=res.err_est, bounds=bounds)
+            print(f"{head} {res.work:7d} {best * 1e3:7.1f}ms {dev:18.1e} {res.err_est:9.1e} "
+                  f"{'yes' if bounds else 'NO'}")
 
     print(f"grid of {len(GRID_RS)} r in [{GRID_RS[0]:g}, {GRID_RS[-1]:g}], warm:")
     print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'work':>7s} {'loop':>9s} "
@@ -147,17 +157,17 @@ def main() -> int:
 
     print("lifted, warm:")
     print(f"{'a':>5s} {'beta':>4s} {'m':>2s} {'mp':>2s} {'r':>3s} {'terms':>5s} {'work':>7s} "
-          f"{'warm':>9s} {'err_est':>9s} {'|lifted - oracle|':>18s}")
+          f"{'warm':>9s} {'err_est':>9s} {'|lifted - oracle|':>18s} bounds")
     for spec, r in LIFTED_CASES:
         res, best = best_time(lambda: eval_lifted(spec, r), repeats)
-        want = oracle(spec, r)
-        dev = abs(res.value - want)
+        dev, want, bounds = distance(res, spec, r)
         failed |= not dev <= LIFTED_TOL * abs(want)
         terms = len(_lower(spec, r)[1])
-        row("lifted", spec, r, res.work, best * 1e3, dev, err_est=res.err_est, terms=terms)
+        row("lifted", spec, r, res.work, best * 1e3, dev, err_est=res.err_est, bounds=bounds,
+            terms=terms)
         print(f"{spec.a:5.2f} {spec.beta:4.1f} {spec.m:2d} {spec.m_prime:2d} {r:3g} {terms:5d} "
               f"{res.work:7d} {best * 1e3:7.1f}ms {res.err_est:9.1e} {dev:18.1e}"
-              f"  ({dev / abs(want):.1e} relative)")
+              f"  ({dev / abs(want):.1e} relative) {'yes' if bounds else 'NO'}")
     if failed:
         print(f"FAIL: a value off the oracle (hankel {HANKEL_TOL:.0e}, exp2d {EXP2D_TOL:.0e}, "
               f"lifted {LIFTED_TOL:.0e} relative), not converged, or a grid row off "

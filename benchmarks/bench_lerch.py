@@ -1,9 +1,10 @@
 """Benchmark the Lerch factor of F: the far table, its accuracy and the local series.
 
 ``f_phase(lerch_unit_many(eps, ...), eps, ...)`` evaluates F at
-phi = pi/2 - eps for every far angle (``|2 eps| >= 0.35``) from a Chebyshev
-expansion of the Lerch factor, built once per ``(alpha, beta+1)`` from the
-quadrature ``specfun._lerch_integral_many`` at 128 angles.  For each case this prints
+phi = pi/2 - eps for every far angle (``|2 eps| >= 0.35``) from piecewise
+Chebyshev expansions of the Lerch factor, built once per ``(alpha, beta+1)``
+from the quadrature ``specfun._lerch_integral_many`` at 160 angles, 20 on each
+of 8 pieces.  For each case this prints
 the quadrature's t-node count, the best-of-N cold build of the table
 (``specfun._far_coeffs``, cache cleared) and the build's ``tracemalloc``
 peak.  It then times F on 4,096 seeded far angles cold (the build included)

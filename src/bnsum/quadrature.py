@@ -22,6 +22,11 @@ alpha < 1, logarithmic at alpha = 1) is handled on (0, 0.4] by one graded
 rule for every alpha, eps = u^p with p = 1 / min(alpha, 1); eps = 0 itself
 is never a node.  F comes from ``specfun.lerch_unit_many`` and ``f_phase``
 at eps, or at -eps on the mirror half: no route forms phi.
+
+Every panel takes the 33-point Gauss-Kronrod rule, which embeds the 16-point
+Gauss rule.  A level's value sums the K33 panel sums; its err_est, sum over
+panels |K33 - G16|, is an estimate, not a bound.  A level that meets its
+tolerance ends the route, one that misses it runs the next, every panel halved.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ from .direct import EvalResult, SeriesSpec, check_inputs, sum_series
 from .errors import ConvergenceError, DomainError
 from .fseries import f_phase
 from .kernels import bessel_j_col
-from .specfun import gauss_panel_nodes as _panel_nodes, lerch_unit_many
+from .specfun import lerch_unit_many, panel_nodes
 
 HALF_PI = math.pi / 2.0
 _SING_WIDTH = 0.4  # size of the graded region left of pi/2
@@ -52,6 +57,29 @@ _KERNEL_CELLS = 1 << 16
 # at most max(abs_tol, rel_tol * |value|)
 ABS_TOL = 1e-9
 REL_TOL = 1e-7
+
+# The 33-point Kronrod extension of the 16-point Gauss-Legendre rule on
+# [-1, 1] (Laurie, Math. Comp. 66, 1997), rounded from an 80-digit computation:
+# its nonnegative nodes ascending, the Gauss nodes at odd positions, and their
+# Kronrod weights.
+_KRONROD_HALF_X = np.array([0.0, 0.09501250983763744, 0.18916857901808373, 0.2816035507792589,
+                            0.37148378087841627, 0.45801677765722737, 0.5404076763521397,
+                            0.6178762444026438, 0.6897411066817623, 0.755404408355003,
+                            0.8142402870624444, 0.8656312023878318, 0.9091576670123429,
+                            0.9445750230732326, 0.9715059509693926, 0.9894009349916499,
+                            0.9982392741454446])
+_KRONROD_HALF_W = np.array([0.0951542160804983, 0.09472840124723005, 0.09343867406092123,
+                            0.09129203282819166, 0.08833750257911273, 0.08459580379259064,
+                            0.08005394126371929, 0.07476982388559955, 0.06886299519153125,
+                            0.062358806011834855, 0.055205633095422174, 0.047506215976407015,
+                            0.039512951202421966, 0.031260543647380526, 0.022498859440049444,
+                            0.013257930688091158, 0.004742777049247318])
+_KRONROD_X = np.concatenate((-_KRONROD_HALF_X[:0:-1], _KRONROD_HALF_X))
+_KRONROD_W = np.concatenate((_KRONROD_HALF_W[:0:-1], _KRONROD_HALF_W))
+# (K33 - G16) / K33 weight at each node: a panel's K33 - G16 from its
+# K33-weighted values, which stay finite where F is not (eps -> 0, alpha < 1)
+_KRONROD_SHARE = np.ones(_KRONROD_X.size)
+_KRONROD_SHARE[1::2] -= np.polynomial.legendre.leggauss(16)[1] / _KRONROD_W[1::2]
 
 
 def _split(edges: np.ndarray, pieces: np.ndarray) -> np.ndarray:
@@ -70,28 +98,39 @@ def _pieces(widths: np.ndarray, r: float, level: int, least: int = 1) -> np.ndar
     return np.maximum(least, np.ceil(widths / cap)).astype(np.int64) << level
 
 
+def _panel_error(weighted: np.ndarray) -> float:
+    """sum over panels |K33 - G16| of an integrand from its K33-weighted values."""
+    panels = weighted.reshape(-1, _KRONROD_X.size) * _KRONROD_SHARE
+    return float(np.sum(np.abs(panels.sum(axis=1))))
+
+
 def _half_mesh(r: float, alpha: float, level: int):
     """Quadrature rule for [0, pi/2) in eps = pi/2 - phi: ascending (eps nodes,
-    weights), graded panels on (0, 0.4] and then smooth ones on [0.4, pi/2].
+    K33 weights), 33 to a panel; graded panels on (0, 0.4] and then smooth
+    ones on [0.4, pi/2].
 
     eps = u^p with p = 1 / min(alpha, 1) flattens the eps^(alpha-1) blow-up of
     F for alpha < 1 and is u = eps for alpha >= 1.  The u panels, from 0 by
-    ratio 3 up to 0.4^(1/p), are split by their width in eps, where J_nu
-    oscillates.  eps is the variable of every node, so nodes arbitrarily close
-    to pi/2 never round onto it; the weights absorb the substitution jacobian.
+    ratio 3 up to 0.4^(1/p), are split in equal u pieces by their steepest
+    width in eps, p u^(p-1) du at the top, where J_nu oscillates: an equal
+    piece is widest in eps at the top.  eps is the variable of every node, so
+    nodes arbitrarily close to pi/2 never round onto it; the weights absorb
+    the substitution jacobian.
     """
     g = min(alpha, 1.0)
     p = 1.0 / g
     u_top = _SING_WIDTH ** g
     u_edges = np.concatenate(([0.0], u_top * 3.0 ** (-np.arange(30, -1, -1, dtype=float))))
-    un, uw = _panel_nodes(_split(u_edges, _pieces(np.diff(u_edges ** p), r, level)))
+    steepest = p * np.diff(u_edges) * u_edges[1:] ** (p - 1.0)
+    un, uw = panel_nodes(_split(u_edges, _pieces(steepest, r, level)), _KRONROD_X, _KRONROD_W)
     eps_nodes = un ** p
     if eps_nodes[0] == 0.0:  # the smallest node; F is singular at eps = 0
         raise ConvergenceError(f"alpha = {alpha:g} is too small for the quadrature "
                                "near phi = pi/2: eps = u^(1/alpha) underflows to 0")
     eps_weights = uw * p * un ** (p - 1.0)
     smooth = np.array([_SING_WIDTH, HALF_PI])
-    nodes, weights = _panel_nodes(_split(smooth, _pieces(np.diff(smooth), r, level, 4)))
+    nodes, weights = panel_nodes(_split(smooth, _pieces(np.diff(smooth), r, level, 4)),
+                                 _KRONROD_X, _KRONROD_W)
     return np.concatenate((eps_nodes, nodes)), np.concatenate((eps_weights, weights))
 
 
@@ -122,12 +161,12 @@ def _lower(spec: SeriesSpec, r: float):
 
 def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int,
                    mirror: bool = False):
-    """(sum over [0, pi/2), product count) per r of ``rs`` of the integrand
-    sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, mu, nu) of
-    ``terms``.  Over the rows' concatenated meshes, all terms share one Lerch
-    factor of F and one Bessel call; a node's values depend on its own
-    argument and each row sums its own slice, so a row's sum is that of a
-    one-row call.
+    """(sum over [0, pi/2), product count, error estimate) per r of ``rs`` of the
+    integrand sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, mu, nu)
+    of ``terms``; the estimate is sum over panels |K33 - G16|.  Over the rows'
+    concatenated meshes, all terms share one Lerch factor of F and one Bessel
+    call; a node's values depend on its own argument and each row sums its own
+    slice, so a row's sums are those of a one-row call.
 
     With ``mirror`` the sum is over (pi/2, pi]: F at phi = pi/2 + eps, with
     J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
@@ -147,35 +186,31 @@ def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int
     products = (c * weights * f_phase(lam, signed, mu) * cols[nu] for c, mu, nu in terms)
     integrand = sum(products, next(products))  # a running sum; one term stays exact
     ends = itertools.accumulate(sizes)
-    return [(float(np.sum(integrand[end - size:end])), len(terms) * size)
-            for size, end in zip(sizes, ends)]
+    return [(float(np.sum(integrand[end - size:end])), len(terms) * size,
+             _panel_error(integrand[end - size:end])) for size, end in zip(sizes, ends)]
 
 
 def _converge(evaluate, count: int, abs_tol: float, rel_tol: float,
               max_nodes: int, tag: str) -> list[EvalResult | None]:
-    """Refine ``count`` rows level by level, each until it meets its own
-    tolerance; ``None`` for a row that does not within 7 levels, stops at
-    ``max_nodes`` or has a value that is not finite.  ``evaluate(level,
-    rows)`` returns (value, nodes, extra error) for each row index of
+    """Refine ``count`` rows level by level, each until its error estimate
+    meets its own tolerance; ``None`` for a row that does not within 7 levels,
+    stops at ``max_nodes`` or has a value that is not finite.  ``evaluate(level,
+    rows)`` returns (value, nodes, error estimate) for each row index of
     ``rows``, the rows still refining."""
     results: list[EvalResult | None] = [None] * count
-    prev: list[float | None] = [None] * count
     work = [0] * count
     live = list(range(count))
     for level in range(7):
         if not live:
             break
         refining = []
-        for i, (value, n_nodes, extra_err) in zip(live, evaluate(level, live)):
+        for i, (value, n_nodes, err) in zip(live, evaluate(level, live)):
             work[i] += n_nodes
-            if prev[i] is not None:
-                err = abs(value - prev[i]) + extra_err
-                if err <= max(abs_tol, rel_tol * abs(value)):
-                    results[i] = EvalResult(value, err, tag, work[i])
-                    continue
-            # no finer level mends a value that is not finite
-            if math.isfinite(value) and (prev[i] is None or n_nodes <= max_nodes):
-                prev[i] = value
+            if not math.isfinite(value):
+                continue  # no finer level mends a value that is not finite
+            if err <= max(abs_tol, rel_tol * abs(value)):
+                results[i] = EvalResult(value, err, tag, work[i])
+            elif n_nodes <= max_nodes:
                 refining.append(i)
         live = refining
     return results
@@ -215,11 +250,12 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
         sums = _hankel_halves(alpha, spec.beta, terms, r_rows, level)
         if not use_parity:
             mirrored = _hankel_halves(alpha, spec.beta, terms, r_rows, level, mirror=True)
-            sums = [((raw + back) / 2.0, n + n2) for (raw, n), (back, n2) in zip(sums, mirrored)]
-        return [(2.0 / math.pi * raw, n, 0.0) for raw, n in sums]
+            sums = [((raw + back) / 2.0, n + n2, (err + err2) / 2.0)
+                    for (raw, n, err), (back, n2, err2) in zip(sums, mirrored)]
+        return [(2.0 / math.pi * raw, n, 2.0 / math.pi * err) for raw, n, err in sums]
 
     found = iter(_converge(evaluate, len(positive), abs_tol, rel_tol,
-                           16 * _MAX_PANELS * len(terms), tag))
+                           _KRONROD_X.size * _MAX_PANELS * len(terms), tag))
     return [next(found) if r > 0.0 else zero for r in rs]
 
 
@@ -258,8 +294,9 @@ def _theta_rule(r: float, nu: int, level: int):
     + 16 + nu stays above that, so the rule is exact to rounding.  The other
     part (sin for even nu, cos for odd) is a quarter-range Struve-type
     integral whose F weight cancels analytically; it feeds only the
-    imaginary residue.  Doubling n per level keeps each level's difference a
-    measure of both directions.
+    imaginary residue.  n doubles with each level of the phi mesh; the rule is
+    exact to rounding at every n, so the phi panels' |K33 - G16| stands for
+    the whole quadrature error.
     """
     x = 2.0 * r
     n = math.ceil((x + 12.0 * x ** (1.0 / 3.0) + 16.0 + nu) / 4.0) << level
@@ -308,9 +345,11 @@ def eval_exp2d(spec: SeriesSpec, r: float, *,
             x = np.multiply.outer(two_r_cphi[i:i + rows], ctheta)
             cos_sum[i:i + rows] = np.cos(x) @ tw
             sin_sum[i:i + rows] = np.sin(x, out=x) @ tw
-        total = prefactor * complex(np.sum((plus + minus) * cos_sum),
-                                    np.sum((plus - minus) * sin_sum))
-        return [(total.real, 2 * plus.size * tn.size, abs(total.imag))]
+        even, odd = (plus + minus) * cos_sum, (plus - minus) * sin_sum
+        total = prefactor * complex(np.sum(even), np.sum(odd))
+        # the value is the real part: prefactor * even for even mu, * odd for odd
+        carrier = prefactor.real * even - prefactor.imag * odd
+        return [(total.real, 2 * plus.size * tn.size, _panel_error(carrier) + abs(total.imag))]
 
     return _single(_converge(evaluate, 1, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d"), "exp2d")
 

@@ -167,15 +167,13 @@ _NEAR_HALF_PI = 0.35  # |2 eps| = |2 phi - pi| below this takes the local series
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def gauss_panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for the panels delimited by ``edges``."""
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def panel_nodes(edges: np.ndarray, nodes: np.ndarray,
+                weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights of a rule on [-1, 1] moved onto the panels delimited by
+    ``edges``, panel by panel."""
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
 _HEAD_TERMS = 8
@@ -197,7 +195,7 @@ def _lerch_t_grid(alpha: float, v: float) -> tuple[np.ndarray, np.ndarray]:
         t_hi = (45.0 + max(alpha - 1.0, 0.0) * math.log(t_hi)) / v + 1.0
     hi_edges = np.geomspace(1.0, max(t_hi, 1.0 + 1e-6), 24)
     edges = np.concatenate((lo_edges, hi_edges[1:]))
-    return gauss_panel_nodes(edges)
+    return panel_nodes(edges, _GAUSS_NODES, _GAUSS_WEIGHTS)
 
 
 def _lerch_integral_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray:
@@ -234,58 +232,72 @@ def _lerch_integral_many(phis: np.ndarray, alpha: float, v: float) -> np.ndarray
 
 # Away from phi = pi/2 (mod pi), Phi(-e^{2 i phi}, alpha, v) is analytic in
 # phi with period pi.  Folded onto |phi| <= _FAR_EDGE, it is interpolated once
-# per (alpha, v) in Chebyshev polynomials of phi / _FAR_EDGE from the
-# quadrature at the first-kind points; every far angle is then a Clenshaw sum.
+# per (alpha, v) on each piece between _PIECE_EDGES, in Chebyshev polynomials,
+# from the quadrature at 20 first-kind points; every far angle is then a
+# Clenshaw sum.  The piece next to pi/2 sets the count (16 points left it
+# 3.5e-12 off).  Over alpha in {0.05, 0.5, 1, 2, 2.9}, v in {0.01, 1, 3, 30}
+# and 500 seeded far angles, the worst deviation from the quadrature is 5.9e-15
+# of max|Phi|.
 _FAR_EDGE = math.pi / 2.0 - _NEAR_HALF_PI / 2.0
-# Over alpha in {0.05, 0.15, 0.5, 1, 1.5, 2, 3} and v in {0.01, 0.1, 0.5, 1,
-# 2, 3}, the last 8 of 64 coefficients reach 7.2e-13 of the largest (alpha =
-# 0.05, v = 3); at 128 points they sit at the quadrature's rounding floor
-# (3.0e-15 to 5.0e-15), and the worst deviation from the quadrature over 500
-# seeded far angles is 3.0e-14 of max|Phi| (alpha = 2, v = 0.01).
-_CHEB_POINTS = 128
-_CHEB_ANGLES = math.pi * (np.arange(_CHEB_POINTS) + 0.5) / _CHEB_POINTS
+_PIECE_EDGES = np.array([-_FAR_EDGE, -1.2, -0.9, -0.45, 0.0, 0.45, 0.9, 1.2, _FAR_EDGE])
+_PIECE_MID = (_PIECE_EDGES[1:] + _PIECE_EDGES[:-1]) / 2.0
+_PIECE_HALF = np.diff(_PIECE_EDGES) / 2.0
+_PIECE_POINTS = 20
+_PIECE_ANGLES = math.pi * (np.arange(_PIECE_POINTS) + 0.5) / _PIECE_POINTS
 # c_j = (2/N) sum_k f(cos theta_k) cos(j theta_k), with c_0 halved.  numpy's
 # chebinterpolate forms cos(j theta_k) by the three-term recurrence instead,
-# which put F 3e-13 of max|F| off the quadrature (benchmarks/bench_lerch.py).
-_CHEB_TRANSFORM = (2.0 / _CHEB_POINTS) * np.cos(
-    np.outer(np.arange(_CHEB_POINTS), _CHEB_ANGLES))
-_CHEB_TRANSFORM[0] *= 0.5
-_CHEB_TRANSFORM.flags.writeable = False
+# which put F 3e-13 of max|F| off the quadrature at 128 points.
+_PIECE_TRANSFORM = (2.0 / _PIECE_POINTS) * np.cos(
+    np.outer(np.arange(_PIECE_POINTS), _PIECE_ANGLES))
+_PIECE_TRANSFORM[0] *= 0.5
+_PIECE_TRANSFORM.flags.writeable = False
 
 
 @lru_cache(maxsize=512)
 def _far_coeffs(alpha: float, v: float) -> np.ndarray:
-    """Chebyshev coefficients of Phi(-e^{2 i phi}, alpha, v) in phi/_FAR_EDGE.
+    """Chebyshev coefficients of Phi(-e^{2 i phi}, alpha, v) on each piece of
+    the folded far range, indexed [degree, piece].
 
     Both products of the build are einsums without ``optimize``, which call no
     BLAS: on 2 CPUs, OpenBLAS's default worker threads made a cold build
     take 15.9 ms against 1.3 ms on one thread."""
-    coeffs = np.einsum("jk,k->j", _CHEB_TRANSFORM, _lerch_integral_many(
-        _FAR_EDGE * np.cos(_CHEB_ANGLES), alpha, v))
+    angles = _PIECE_MID[:, None] + np.multiply.outer(_PIECE_HALF, np.cos(_PIECE_ANGLES))
+    values = _lerch_integral_many(angles.ravel(), alpha, v).reshape(angles.shape)
+    coeffs = np.einsum("jk,pk->jp", _PIECE_TRANSFORM, values)
     coeffs.flags.writeable = False
     return coeffs
 
 
-_LOCAL_TERMS = 48
+_LOCAL_TERMS = 48  # the most terms the local series sums
+_LOCAL_TAIL = 1e-17  # it stops where |c_k| 0.35^k is this far below the largest
 
 
 @lru_cache(maxsize=512)
 def _local_tables(alpha: float, v: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """zeta(alpha-k, v)/k! for the z->1 Lerch expansion, cached per (alpha, v),
     times the real factor of i^k and split by the parity of k: with x = ell^2,
-    sum_k c_k (i ell)^k = even(x) + i ell odd(x)."""
+    sum_k c_k (i ell)^k = even(x) + i ell odd(x).  The terms stop, at an even
+    count, once two in a row have |c_k| _NEAR_HALF_PI^k below _LOCAL_TAIL of
+    the largest: past the reach of the near nodes they add nothing."""
     alpha_int = alpha == math.floor(alpha)
-    coeffs = np.empty(_LOCAL_TERMS)
+    coeffs, top, small = [], 0.0, 0
     for k in range(_LOCAL_TERMS):
         if alpha_int and k == int(alpha) - 1:
-            coeffs[k] = 0.0  # replaced by the digamma/log head term
-        else:
-            coeffs[k] = (-1) ** (k // 2) * hurwitz_zeta(alpha - k, v) / math.factorial(k)
+            coeffs.append(0.0)  # replaced by the digamma/log head term
+            continue
+        coeffs.append((-1) ** (k // 2) * hurwitz_zeta(alpha - k, v) / math.factorial(k))
+        size = abs(coeffs[-1]) * _NEAR_HALF_PI ** k
+        top = max(top, size)
+        small = small + 1 if size < _LOCAL_TAIL * top else 0
+        if small >= 2 and k % 2:
+            break
+    coeffs = np.array(coeffs)
     return coeffs[0::2], coeffs[1::2], alpha_int
 
 
 def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
-    """Phi(e^{i ell}, alpha, v) for small |ell| (< 2 pi), vectorized.
+    """Phi(e^{i ell}, alpha, v) for |ell| up to about _NEAR_HALF_PI, the reach
+    ``_local_tables`` sets its term count for, vectorized.
 
     Expansion of Phi(z, alpha, v) in log z = i*ell around z = 1; with
     z = -e^{2 i phi} this is ell = 2*phi - pi, the phi = pi/2 neighborhood.
@@ -330,9 +342,18 @@ def lerch_local_many(ells: np.ndarray, alpha: float, v: float) -> np.ndarray:
 def lerch_far_many(eps: np.ndarray, alpha: float, v: float) -> np.ndarray:
     """Phi(-e^{2 i phi}, alpha, v) at phi = pi/2 - eps, eps in [-pi/2, pi/2], from
     the far table; right where |2 eps| >= _NEAR_HALF_PI.  The period pi folds
-    phi onto copysign(pi/2, eps) - eps, exact for |eps| >= pi/4 (Sterbenz)."""
+    phi onto copysign(pi/2, eps) - eps, exact for |eps| >= pi/4 (Sterbenz).
+    Each Clenshaw step gathers one coefficient per node from its degree's row,
+    so no (nodes x 20) array is formed."""
     folded = np.copysign(math.pi / 2.0, eps) - eps
-    return np.polynomial.chebyshev.chebval(folded / _FAR_EDGE, _far_coeffs(alpha, v))
+    piece = np.searchsorted(_PIECE_EDGES[1:-1], folded)
+    x = (folded - _PIECE_MID[piece]) / _PIECE_HALF[piece]
+    coeffs = _far_coeffs(alpha, v)
+    two_x = 2.0 * x
+    b1 = b2 = 0.0
+    for row in coeffs[:0:-1]:
+        b1, b2 = two_x * b1 - b2 + row[piece], b1
+    return x * b1 - b2 + coeffs[0][piece]
 
 
 def lerch_unit_many(eps: np.ndarray, alpha: float, v: float) -> np.ndarray:

@@ -238,9 +238,12 @@ class TestLerchLayer:
         assert peak <= 2 * 2**20
 
     def test_local_real_form_matches_complex(self):
-        # v <= 1: at (alpha, v) = (2.85, 3) the two forms differ by 1.9e-14 of
-        # max|Phi| at |ell| = 0.8, where both are 4e-14 off mpmath (cancellation)
-        ells = np.random.default_rng(29).uniform(-0.8, 0.8, 400)
+        # over the reach of the near nodes and of the lerch_seam check,
+        # |ell| <= 0.36, for which the real form sets its term count; the
+        # complex reference sums all 48 terms.  v <= 1: at (alpha, v) = (2.85,
+        # 3) the two forms differed by 1.9e-14 of max|Phi| at |ell| = 0.8,
+        # where both are 4e-14 off mpmath (cancellation)
+        ells = np.random.default_rng(29).uniform(-0.36, 0.36, 400)
         for alpha in (0.15, 0.5, 1.5, 2.85, 1.0, 2.0):
             pts = np.append(ells, 0.0) if alpha > 1.0 else ells
             for v in (0.01, 1.0):
@@ -252,6 +255,22 @@ class TestLerchLayer:
             else:
                 with pytest.raises(SingularityError):
                     lerch_local_many(np.array([0.3, 0.0]), alpha, 1.0)
+
+    def test_local_series_against_mpmath(self):
+        # the term count stops where |c_k| 0.35^k is 1e-17 of the largest:
+        # 12-20 terms here, against the 48 it may take.  Up to v = 3 the
+        # values stay within 4e-15 of max|Phi| of 20-digit mpmath, as they
+        # were with 48 terms; integer alpha skips its zeroed coefficient
+        ells = np.array([-0.36, -0.2, 0.02, 0.25, 0.349])
+        for alpha in (0.15, 1.0, 2.0, 2.85):
+            for v in (0.01, 1.0, 3.0):
+                even, odd, _ = specfun._local_tables(alpha, v)
+                assert even.size == odd.size <= 10, (alpha, v)
+                with mpmath.workdps(20):
+                    want = np.array([complex(mpmath.lerchphi(
+                        mpmath.exp(1j * mpmath.mpf(float(e))), alpha, v)) for e in ells])
+                got = lerch_local_many(ells, alpha, v)
+                assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want)), (alpha, v)
 
 
 class TestBesselJCol:
