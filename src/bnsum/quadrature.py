@@ -12,8 +12,11 @@ lowers a by one, to alpha = -a in (0, 1]: a linear combination of Hankel
 integrands with one beta.  Neumann's product formula (DLMF 10.9) with
 J_{-n} = (-1)^n J_n holds for every integer order, so orders that step below
 0 keep the form with mu = k+m' and nu = |k-m'|.  a < 0 is the case of no
-step, so both run one quadrature.  The exponential form integrates that one
-term of a < 0, whose sign (-1)^min(m,m') = i^{-mu} i^{nu} its prefactor carries.
+step, so both run one quadrature.  The two forms differ only in the kernel
+column beside F: J_nu(2 r cos phi) from the Bessel rows, or its theta integral
+J_nu(x) = (2 i^{-nu} / pi) Int_0^{pi/2} e^{i x cos theta} cos(nu theta) dtheta
+(DLMF 10.9.2) plus a residue that integrates to 0 against F; i^{-nu} times the
+sign (-1)^min(m,m') = i^{mu-nu} is the prefactor's i^{-mu}.
 
 Every node of the half-range [0, pi/2) is written in the one variable
 eps = pi/2 - phi, and its mirror image in (pi/2, pi] is pi/2 + eps, so
@@ -159,35 +162,43 @@ def _lower(spec: SeriesSpec, r: float):
     return n - spec.a, terms
 
 
-def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int,
-                   mirror: bool = False):
-    """(sum over [0, pi/2), product count, error estimate) per r of ``rs`` of the
-    integrand sum c * F_{alpha,beta,mu}(phi) J_nu(2 r cos phi) over the (c, mu, nu)
-    of ``terms``; the estimate is sum over panels |K33 - G16|.  Over the rows'
-    concatenated meshes, all terms share one Lerch factor of F and one Bessel
-    call; a node's values depend on its own argument and each row sums its own
-    slice, so a row's sums are those of a one-row call.
-
-    With ``mirror`` the sum is over (pi/2, pi]: F at phi = pi/2 + eps, with
-    J_nu(-x) = (-1)^nu J_nu(x) folded into each c.
-    """
+def _hankel_halves(alpha: float, beta: float, terms, rs: list[float], level: int, kernel):
+    """(value, work, error estimate) per r of ``rs``: 2/pi times the mean over the
+    halves of the integral of sum c * F_{alpha,beta,mu} K_nu over the (c, mu, nu)
+    of ``terms``.  ``kernel(orders, args, r, level)``, args <= 2 r, gives the work
+    per (node, term), a factor and per order one column for [0, pi/2) at eps, or
+    two, the second for (pi/2, pi] at -eps.  The value is the real part, the
+    estimate sum over panels |K33 - G16| of it plus the size of the imaginary
+    part.  The rows share one kernel call and one Lerch factor per half and each
+    sums its own slice; Bessel columns depend on their own argument alone, so a
+    row's sums are those of a one-row call."""
     meshes = [_half_mesh(r, alpha, level) for r in rs]
-    if mirror:
-        terms = [(-c if nu % 2 else c, mu, nu) for c, mu, nu in terms]
-    eps = np.concatenate([mesh[0] for mesh in meshes])
-    weights = np.concatenate([mesh[1] for mesh in meshes])
+    eps, weights = (np.concatenate(part) for part in zip(*meshes))
     sizes = [mesh[0].size for mesh in meshes]
     # cos(pi/2 - eps) = sin(eps) never forms phi
     args = np.repeat(2.0 * np.array(rs), sizes) * np.sin(eps)
     orders = sorted({nu for *_, nu in terms})
-    cols = dict(zip(orders, bessel_j_col(orders, args)))
-    signed = -eps if mirror else eps  # pi/2 + eps is the angle pi/2 - (-eps)
-    lam = lerch_unit_many(signed, alpha, beta + 1.0)
-    products = (c * weights * f_phase(lam, signed, mu) * cols[nu] for c, mu, nu in terms)
+    work, factor, columns = kernel(orders, args, max(rs), level)
+    cols = dict(zip(orders, columns))
+    halves = [(signed, lerch_unit_many(signed, alpha, beta + 1.0))
+              for signed in (eps, -eps)[:len(columns[0])]]
+    products = (c * weights * f_phase(lam, signed, mu) * cols[nu][half]
+                for half, (signed, lam) in enumerate(halves) for c, mu, nu in terms)
     integrand = sum(products, next(products))  # a running sum; one term stays exact
-    ends = itertools.accumulate(sizes)
-    return [(float(np.sum(integrand[end - size:end])), len(terms) * size,
-             _panel_error(integrand[end - size:end])) for size, end in zip(sizes, ends)]
+    scale = factor * 2.0 / math.pi / len(halves)
+    return [(scale * float(np.sum(part.real)), work * len(terms) * part.size,
+             scale * (_panel_error(part.real) + abs(float(np.sum(part.imag)))))
+            for part in np.split(integrand, np.cumsum(sizes)[:-1])]
+
+
+def _bessel_half(orders, args, r, level):
+    """The Hankel kernel on [0, pi/2): J_nu, one product per (node, term)."""
+    return 1, 1.0, [(col,) for col in bessel_j_col(orders, args)]
+
+
+def _bessel_both(orders, args, r, level):
+    """``_bessel_half`` and its mirror J_nu(-x) = (-1)^nu J_nu(x) on (pi/2, pi]."""
+    return 2, 1.0, [(j, -j if nu % 2 else j) for nu, j in zip(orders, bessel_j_col(orders, args))]
 
 
 def _converge(evaluate, count: int, abs_tol: float, rel_tol: float,
@@ -227,14 +238,14 @@ def _at_zero(spec: SeriesSpec, tag: str) -> EvalResult:
     return dataclasses.replace(sum_series(spec, 0.0), method=tag, work=0)
 
 
-def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
-            rel_tol: float, tag: str) -> list[EvalResult | None]:
-    """``spec``'s series at each r of ``rs`` by its Hankel form, ``None`` where it does
-    not converge; without ``use_parity`` each level averages [0, pi/2) and (pi/2, pi]."""
+def _hankel(spec: SeriesSpec, rs, kernel, abs_tol: float, rel_tol: float, tag: str,
+            max_work: int = _KRONROD_X.size * _MAX_PANELS) -> list[EvalResult | None]:
+    """``spec``'s series at each r of ``rs`` by ``kernel``, ``None`` where it does not
+    converge; a level past ``max_work`` per term refines no further."""
     rs = [float(r) for r in rs]
     for r in rs:
         check_inputs(r, abs_tol, rel_tol)
-    positive = [i for i, r in enumerate(rs) if r > 0.0]
+    positive = [r for r in rs if r > 0.0]
     # r enters the lowering only for a >= 0, where eval_lifted passes one r;
     # at r = 0 it could run all floor(a) + 1 steps for what the oracle sums exactly
     alpha, terms = _lower(spec, rs[0]) if positive else (0.0, [])
@@ -246,25 +257,20 @@ def _hankel(spec: SeriesSpec, rs, use_parity: bool, abs_tol: float,
                                "is not finite")
 
     def evaluate(level, rows):
-        r_rows = [rs[positive[i]] for i in rows]
-        sums = _hankel_halves(alpha, spec.beta, terms, r_rows, level)
-        if not use_parity:
-            mirrored = _hankel_halves(alpha, spec.beta, terms, r_rows, level, mirror=True)
-            sums = [((raw + back) / 2.0, n + n2, (err + err2) / 2.0)
-                    for (raw, n, err), (back, n2, err2) in zip(sums, mirrored)]
-        return [(2.0 / math.pi * raw, n, 2.0 / math.pi * err) for raw, n, err in sums]
+        return _hankel_halves(alpha, spec.beta, terms, [positive[i] for i in rows], level, kernel)
 
-    found = iter(_converge(evaluate, len(positive), abs_tol, rel_tol,
-                           _KRONROD_X.size * _MAX_PANELS * len(terms), tag))
+    found = iter(_converge(evaluate, len(positive), abs_tol, rel_tol, max_work * len(terms), tag))
     return [next(found) if r > 0.0 else zero for r in rs]
 
 
 def eval_hankel(spec: SeriesSpec, r: float, *, use_parity: bool = True,
                 abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
-    """One-dimensional Hankel-transform route; requires a < 0."""
+    """One-dimensional Hankel-transform route; requires a < 0.  Without ``use_parity``
+    each level integrates both halves of [0, pi] on one Bessel column and its mirror."""
     if spec.a >= 0.0:
         raise DomainError("eval_hankel requires a < 0")
-    return _single(_hankel(spec, [r], use_parity, abs_tol, rel_tol, "hankel"), "hankel")
+    kernel = _bessel_half if use_parity else _bessel_both
+    return _single(_hankel(spec, [r], kernel, abs_tol, rel_tol, "hankel"), "hankel")
 
 
 def eval_hankel_grid(spec: SeriesSpec, rs, *, abs_tol: float = ABS_TOL,
@@ -277,7 +283,7 @@ def eval_hankel_grid(spec: SeriesSpec, rs, *, abs_tol: float = ABS_TOL,
     """
     if spec.a >= 0.0:
         raise DomainError("eval_hankel requires a < 0")
-    return _hankel(spec, rs, True, abs_tol, rel_tol, "hankel")
+    return _hankel(spec, rs, _bessel_half, abs_tol, rel_tol, "hankel")
 
 
 def _theta_rule(r: float, nu: int, level: int):
@@ -304,54 +310,38 @@ def _theta_rule(r: float, nu: int, level: int):
     return tn, HALF_PI / n * np.cos(nu * tn)
 
 
+def _theta_kernel(orders, args, r, level):
+    """exp2d's kernel: J_nu as i^{-nu} (C + i S) at x and its conjugate at -x, from
+    ``_theta_rule``'s cos and sin sums C and S in blocks of at most ``_KERNEL_CELLS``
+    cells; work counts both.  The factor 2/pi multiplies the phi sum: on every
+    node it would add a rounding there."""
+    (nu,) = orders  # a < 0: one term
+    tn, tw = _theta_rule(r, nu, level)
+    ctheta = np.cos(tn)
+    rows = max(1, _KERNEL_CELLS // tn.size)
+    c, s = np.empty((2, args.size))
+    for i in range(0, args.size, rows):
+        x = np.multiply.outer(args[i:i + rows], ctheta)
+        c[i:i + rows] = np.cos(x) @ tw
+        s[i:i + rows] = np.sin(x, out=x) @ tw
+    q = (1, -1j, -1, 1j)[nu % 4]  # i^{-nu}, exact
+    return 2 * tn.size, 2.0 / math.pi, [(q * (c + 1j * s), q * (c - 1j * s))]
+
+
 def eval_exp2d(spec: SeriesSpec, r: float, *,
                abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> EvalResult:
     """Two-dimensional exponential oscillatory-integral route; requires a < 0.
 
-    The integrand is ``_lower``'s single term (c, mu, nu), c inside the
-    prefactor 2 i^{-mu} / pi^2.  phi runs on the Hankel route's eps mesh and
-    its mirror, -eps, with F from ``lerch_unit_many``; theta on ``_theta_rule``'s
-    midpoint rule, exact to rounding on the part of the theta integrand that
-    carries the value (a full period of a periodic analytic function, aliased
-    only through J_{4n-nu}).
-    The other part meets the F weight plus - minus (even mu) or plus + minus
-    (odd mu), zero analytically, so it feeds only the imaginary residue that
-    ``err_est`` adds.  No Bessel routine runs: the route checks the Hankel one
-    independently.
+    ``_hankel`` over both halves with ``_theta_kernel``, exact to rounding on the
+    part of the theta integrand that carries the value; the other part integrates
+    to 0 against F and feeds only the imaginary residue that ``err_est`` adds.
+    No Bessel routine runs, so the route checks the Hankel one independently.  A
+    level refines on up to 4096 * ``_MAX_PANELS`` cells.
     """
     if spec.a >= 0.0:
         raise DomainError("eval_exp2d requires a < 0")
-    check_inputs(r, abs_tol, rel_tol)
-    if r == 0.0:
-        return _at_zero(spec, "exp2d")
-    alpha, ((_, mu, nu),) = _lower(spec, r)
-    prefactor = 2.0 * (1j) ** (-mu) / math.pi ** 2
-
-    def evaluate(level, _rows):
-        eps, w = _half_mesh(r, alpha, level)
-        # pi/2 - eps and pi/2 + eps (eps and -eps) have cosines of
-        # opposite sign, so their kernels e^{+-i x} are conjugate: one real
-        # cos(x) and one sin(x) per pair, x = 2 r sin(eps) cos(theta).  F is
-        # evaluated on both halves, so the imaginary residue still checks the
-        # formula.
-        plus, minus = (w * f_phase(lerch_unit_many(e, alpha, spec.beta + 1.0), e, mu)
-                       for e in (eps, -eps))
-        two_r_cphi = 2.0 * r * np.sin(eps)
-        tn, tw = _theta_rule(r, nu, level)
-        ctheta = np.cos(tn)
-        rows = max(1, _KERNEL_CELLS // tn.size)
-        cos_sum, sin_sum = np.empty_like(plus), np.empty_like(plus)
-        for i in range(0, plus.size, rows):
-            x = np.multiply.outer(two_r_cphi[i:i + rows], ctheta)
-            cos_sum[i:i + rows] = np.cos(x) @ tw
-            sin_sum[i:i + rows] = np.sin(x, out=x) @ tw
-        even, odd = (plus + minus) * cos_sum, (plus - minus) * sin_sum
-        total = prefactor * complex(np.sum(even), np.sum(odd))
-        # the value is the real part: prefactor * even for even mu, * odd for odd
-        carrier = prefactor.real * even - prefactor.imag * odd
-        return [(total.real, 2 * plus.size * tn.size, _panel_error(carrier) + abs(total.imag))]
-
-    return _single(_converge(evaluate, 1, abs_tol, rel_tol, 4096 * _MAX_PANELS, "exp2d"), "exp2d")
+    found = _hankel(spec, [r], _theta_kernel, abs_tol, rel_tol, "exp2d", 4096 * _MAX_PANELS)
+    return _single(found, "exp2d")
 
 
 def eval_lifted(spec: SeriesSpec, r: float, *,
@@ -364,4 +354,4 @@ def eval_lifted(spec: SeriesSpec, r: float, *,
     """
     if spec.a < 0.0:
         raise DomainError("eval_lifted requires a >= 0")
-    return _single(_hankel(spec, [r], True, abs_tol, rel_tol, "lifted"), "lifted")
+    return _single(_hankel(spec, [r], _bessel_half, abs_tol, rel_tol, "lifted"), "lifted")

@@ -92,7 +92,7 @@ class TestHankel:
         a, b, m, mp, r = case
         res = eval_hankel(SeriesSpec(a, b, m, mp), r)
         assert res.value == pytest.approx(oracle(a, b, m, mp, r), abs=1e-8)
-        assert type(res.value) is float
+        assert type(res.value) is float and type(res.err_est) is float
 
     @pytest.mark.parametrize("case", [
         (-0.5, 0.0, 1, 0, 400.0),
@@ -143,15 +143,52 @@ class TestHankel:
     def test_mirror_matches_half_on_many_terms(self):
         # F(pi - phi) = (-1)^mu F(phi) and J_nu(-x) = (-1)^nu J_nu(x), mu + nu
         # even: each term's integral over (pi/2, pi] equals the one over
-        # [0, pi/2), also inside a sum whose odd-nu terms flip their sign
+        # [0, pi/2), also inside a sum whose odd-nu terms flip their sign.  The
+        # mirror half is twice the mean over both halves less the plain one.
         alpha, terms = quadrature._lower(SeriesSpec(2.9, 0.3, 1, 0), 20.0)
         assert len(terms) == 7 and min(mu for _, mu, _ in terms) == -2
         assert {nu % 2 for *_, nu in terms} == {0, 1}
         for level in range(3):
-            plain = quadrature._hankel_halves(alpha, 0.3, terms, [20.0], level)
-            mirrored = quadrature._hankel_halves(alpha, 0.3, terms, [20.0], level, mirror=True)
-            assert [n for _, n, _ in mirrored] == [n for _, n, _ in plain]
+            args = (alpha, 0.3, terms, [20.0], level)
+            plain = quadrature._hankel_halves(*args, quadrature._bessel_half)
+            both = quadrature._hankel_halves(*args, quadrature._bessel_both)
+            mirrored = [(2.0 * b - p, nb - n) for (b, nb, _), (p, n, _) in zip(both, plain)]
+            assert [n for _, n in mirrored] == [n for _, n, _ in plain]
             assert mirrored[0][0] == pytest.approx(plain[0][0], rel=1e-12)
+
+    def test_both_halves_share_one_driver_pass(self, monkeypatch):
+        # use_parity=False takes its mirror column from the level's one Bessel
+        # call and forms one Lerch factor per half; exp2d runs the same driver
+        # on its theta columns and calls no Bessel routine
+        events = []
+        halves = quadrature._hankel_halves
+
+        def level(*args):
+            events.append("|")
+            return halves(*args)
+
+        def counted(tag, fn):
+            def wrapper(*args):
+                events.append(tag)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "_hankel_halves", level)
+        monkeypatch.setattr(quadrature, "bessel_j_col", counted("j", quadrature.bessel_j_col))
+        monkeypatch.setattr(quadrature, "lerch_unit_many",
+                            counted("u", quadrature.lerch_unit_many))
+        monkeypatch.setattr(kernels, "bessel_rows", counted("r", kernels.bessel_rows))
+        spec = SeriesSpec(-0.5, 0.0, 1, 1)
+        # a tolerance no estimate meets, so that every one of the 7 levels runs
+        with pytest.raises(ConvergenceError):
+            eval_hankel(spec, 10.0, use_parity=False, abs_tol=1e-300, rel_tol=1e-300)
+        assert "".join(events) == "|jruu" * 7
+        res = eval_hankel(spec, 10.0, use_parity=False)
+        assert type(res.value) is float and type(res.err_est) is float
+        events.clear()
+        eval_exp2d(spec, 10.0)
+        passes = events.count("|")
+        assert passes >= 1 and "".join(events) == "|uu" * passes
 
     def test_rejects_nonnegative_a(self):
         with pytest.raises(DomainError):
@@ -401,7 +438,7 @@ class TestExp2d:
         a, b, m, mp, r = case
         res = eval_exp2d(SeriesSpec(a, b, m, mp), r)
         assert res.value == pytest.approx(oracle(a, b, m, mp, r), abs=1e-7)
-        assert type(res.value) is float
+        assert type(res.value) is float and type(res.err_est) is float
 
     def test_imag_residue_reported_small(self):
         res = eval_exp2d(SeriesSpec(-1.5, 0.0, 2, 0), 1.0)
@@ -432,7 +469,7 @@ class TestLifted:
         res = eval_lifted(SeriesSpec(a, b, m, mp), r)
         want = oracle(a, b, m, mp, r)
         assert res.value == pytest.approx(want, abs=max(1e-6, 1e-6 * abs(want)))
-        assert type(res.value) is float
+        assert type(res.value) is float and type(res.err_est) is float
 
     def test_runs_no_hankel_leaf(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -470,9 +507,9 @@ class TestLifted:
         calls = []
         halves = quadrature._hankel_halves
 
-        def recorded(alpha, beta, terms, rs, level):
+        def recorded(alpha, beta, terms, rs, level, kernel):
             calls.append((alpha, terms, rs, level))
-            return halves(alpha, beta, terms, rs, level)
+            return halves(alpha, beta, terms, rs, level, kernel)
 
         monkeypatch.setattr(quadrature, "_hankel_halves", recorded)
         res = eval_lifted(SeriesSpec(2.0, 1.0, 1, 0), 10.0)  # beta == m
@@ -488,10 +525,10 @@ class TestLifted:
         events, level_terms = [], []
         halves = quadrature._hankel_halves
 
-        def level(alpha, beta, terms, rs, lvl):
+        def level(alpha, beta, terms, rs, lvl, kernel):
             events.append("|")
             level_terms.append(terms)
-            return halves(alpha, beta, terms, rs, lvl)
+            return halves(alpha, beta, terms, rs, lvl, kernel)
 
         def counted(tag, fn):
             def wrapper(*args):
@@ -519,9 +556,9 @@ class TestLifted:
         levels = []
         halves = quadrature._hankel_halves
 
-        def recorded(alpha, beta, terms, rs, level):
+        def recorded(alpha, beta, terms, rs, level, kernel):
             levels.append(level)
-            return halves(alpha, beta, terms, rs, level)
+            return halves(alpha, beta, terms, rs, level, kernel)
 
         monkeypatch.setattr(quadrature, "_hankel_halves", recorded)
         with pytest.raises(ConvergenceError, match="lowering overflowed"):
